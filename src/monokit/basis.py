@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .legendre import assoc_body, assoc_legendre_float, double_factorial
+from .legendre import assoc_body, assoc_legendre_float, double_factorial, legendre_coeffs
 from .moments import norm_sq_sphere
 from .mpoly import MPoly
 from .quaternion import Quaternion
@@ -118,11 +118,6 @@ class BasisElement:
     def norm_B(self) -> SqrtPi:
         return SqrtPi(self.norm_sq_S / (2 * self.index.n + 3))
 
-    def eval_normalized(self, x0, x1, x2, scale: float = 1.0):
-        """Float values of scale * poly / norm_S on a grid."""
-        values = self.poly.eval_grid(x0, x1, x2)
-        return values * (scale / float(self.norm_S))
-
 
 # -- construction ---------------------------------------------------------------
 
@@ -196,6 +191,11 @@ def degree_indices(n: int) -> list[BasisIndex]:
 @lru_cache(maxsize=None)
 def basis_for_degree(n: int) -> tuple[BasisElement, ...]:
     return tuple(spherical_monogenic(ix.n, ix.kind, ix.m) for ix in degree_indices(n))
+
+
+def basis_elements(max_degree: int) -> list[BasisElement]:
+    """Degrees 0..max_degree in degree-major order, canonical within a degree."""
+    return [e for n in range(max_degree + 1) for e in basis_for_degree(n)]
 
 
 @lru_cache(maxsize=None)
@@ -274,15 +274,6 @@ def monogenic_constant_eval(n: int, kind: str, theta: float, phi: float) -> tupl
 # -- the axial closed-form variants (diff material, never canonical) ----------------
 
 
-def legendre_leading(deg: int, k: int) -> Fraction:
-    """Coefficient a_{deg,k} of t^(deg-2k) in P_deg."""
-    if not 0 <= 2 * k <= deg:
-        return Fraction(0)
-    num = (-1) ** k * math.factorial(2 * deg - 2 * k)
-    den = 2 ** deg * math.factorial(k) * math.factorial(deg - k) * math.factorial(deg - 2 * k)
-    return Fraction(num, den)
-
-
 def falling(x: int, count: int) -> int:
     out = 1
     for i in range(count):
@@ -311,25 +302,19 @@ def beta_coefficient(n: int, l: int, k: int, variant: str) -> Fraction | None:
     proof-bare: 2 times the falling factorial, no a_{n+1,k} at all.
     """
     x = n + 1 - 2 * k
+    # a_{n+1,k}, the coefficient of t^x in P_(n+1)
+    a = legendre_coeffs(n + 1)[x] if 0 <= 2 * k <= n + 1 else Fraction(0)
     if variant == "binomial-falling":
-        return legendre_leading(n + 1, k) / 2 * falling(x, l)
+        return a / 2 * falling(x, l)
     if variant == "statement-rising":
         if l == 0:
             if x == 1:
                 return None
-            return legendre_leading(n + 1, k) / 2 / (x - 1)
-        return legendre_leading(n + 1, k) / 2 * rising(x, l - 1)
+            return a / 2 / (x - 1)
+        return a / 2 * rising(x, l - 1)
     if variant == "proof-bare":
         return Fraction(2 * falling(x, l))
     raise ValueError(f"unknown beta variant {variant!r}")
-
-
-def _cos_sum(l: int) -> MPoly:
-    """sum_j (-1)^j C(l,2j) x1^(l-2j) x2^(2j) (the cos(l phi) expansion)."""
-    out = {}
-    for j in range(l // 2 + 1):
-        out[(0, l - 2 * j, 2 * j)] = Quaternion((-1) ** j * math.comb(l, 2 * j))
-    return MPoly(out)
 
 
 def axial_closed_form(n: int, l: int, variant: str = "binomial-falling") -> MPoly | None:
@@ -345,7 +330,7 @@ def axial_closed_form(n: int, l: int, variant: str = "binomial-falling") -> MPol
     def beta(k: int) -> Fraction | None:
         return beta_coefficient(n, l, k, variant)
 
-    cos_l = _cos_sum(l)
+    cos_l = _complex_power_parts(l)[0]  # r^l cos(l phi)
     dcos_x1 = cos_l.partial(1)
     dcos_x2 = cos_l.partial(2)
 

@@ -76,9 +76,13 @@ def _bisect(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 
 def series_f1_threshold() -> float:
-    """r1 with S1(r1) = 1, solved by bisection in q = 2r on (0, 1)."""
-    q = _bisect(lambda q: 2.0 * q / (1.0 - q) ** 2 + q / (1.0 - q) - math.sqrt(math.pi) / 5.0,
-                1e-9, 1.0 - 1e-9)
+    """r1 with S1(r1) = 1, in closed form.
+
+    With s = sqrt(pi)/5, S1 = 1 reads 2q/(1-q)^2 + q/(1-q) = s, that is
+    (1+s) q^2 - (3+2s) q + s = 0; q = 2 r1 is the root in (0, 1).
+    """
+    s = math.sqrt(math.pi) / 5.0
+    q = ((3.0 + 2.0 * s) - math.sqrt(9.0 + 8.0 * s)) / (2.0 * (1.0 + s))
     return q / 2.0
 
 

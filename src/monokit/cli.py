@@ -10,8 +10,8 @@ Subcommands:
 
 Machine-readable output goes to stdout (or --output); PASS/FAIL summary
 lines go to stderr.  Identical (command, flags, seed) produce identical
-output bytes regardless of MONOKIT_THREADS.  Exit status: 0 all invoked
-checks pass, 1 a check failed, 2 configuration error.
+output bytes.  Exit status: 0 all invoked checks pass, 1 a check failed,
+2 configuration error.
 """
 
 from __future__ import annotations
@@ -239,12 +239,8 @@ def cmd_report(args) -> int:
                                   seed=args.seed, bound_samples=args.samples,
                                   bohr_functions=args.functions)
     doc["command"] = "report"
-    for name in ("monogenicity", "gram", "ball_sphere_relation", "norms", "taylor"):
-        status_line(doc[name]["passed"], name, "ok" if doc[name]["passed"] else "see report")
-    for name, sub in doc["bounds"].items():
-        status_line(sub["passed"], f"bounds.{name}", f"max ratio {sub['max_ratio']:.12f}")
-    status_line(doc["bohr"]["empirical"]["passed"], "bohr.empirical",
-                f"max block sum {doc['bohr']['empirical']['max_ratio']:.6f}")
+    for name, ok, detail in report_mod.section_status(doc):
+        status_line(ok, name, detail)
     emit(doc, args)
     return EXIT_OK if doc["passed"] else EXIT_CHECK_FAILED
 

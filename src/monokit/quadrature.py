@@ -12,8 +12,9 @@ full period integrates e^(i k phi) exactly for |k| < n_phi.  Everything in
 this module is binary64; the exact counterparts live in the moments module
 and are used by the tests to pin these numbers down.
 
-Summation order is fixed (phi axis first, then theta) so repeated runs and
-any thread count produce byte-identical results.
+Every float inner product between basis elements reads one memoized
+sample array (basis_samples) and reduces it over the nodes with a single
+np.einsum, without BLAS, so repeated runs produce byte-identical results.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import basis_for_degree, degree_indices
+from .basis import basis_elements, basis_for_degree, degree_indices
 from .mpoly import MPoly
+from .quaternion import E1, E2, E3, ONE
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,23 @@ class QuadratureRule:
         phi_summed = values.sum(axis=1) * (2.0 * np.pi / self.n_phi)
         return np.tensordot(self.t_weights, phi_summed, axes=(0, 0))
 
+    def node_weights(self) -> np.ndarray:
+        """Weight of each grid node, shape (n_t, n_phi)."""
+        return np.outer(self.t_weights, np.full(self.n_phi, 2.0 * np.pi / self.n_phi))
+
     def weight_total(self) -> float:
         return float(self.t_weights.sum() * 2.0 * np.pi)
+
+    # equal rules (same nodes and weights) share memoized samples
+    def _key(self) -> tuple:
+        return (self.t_nodes.tobytes(), self.t_weights.tobytes(), self.n_phi,
+                self.exactness_degree)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, QuadratureRule) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _require_exactness(rule: QuadratureRule, needed: int):
@@ -119,8 +136,7 @@ def sc_inner_product_S(f, g, rule: QuadratureRule) -> float:
     return float(rule.integrate((fv * gv).sum(axis=-1)))
 
 
-def inner_product_B(f: MPoly, g: MPoly, rule: QuadratureRule,
-                    n_radial: int | None = None) -> np.ndarray:
+def inner_product_B(f: MPoly, g: MPoly, rule: QuadratureRule) -> np.ndarray:
     """Quaternion-valued integral of conj(f) g over the unit ball.
 
     Both inputs must be homogeneous; the radial direction is integrated by
@@ -130,14 +146,7 @@ def inner_product_B(f: MPoly, g: MPoly, rule: QuadratureRule,
     for p in (f, g):
         if not p.is_homogeneous():
             raise ValueError("ball inner product needs homogeneous inputs")
-    n = max(f.degree(), 0)
-    k = max(g.degree(), 0)
-    if n_radial is not None:
-        nodes, weights = np.polynomial.legendre.leggauss(n_radial)
-        r = 0.5 * (nodes + 1.0)
-        radial = float(np.dot(weights, 0.5 * r ** (n + k + 2)))
-    else:
-        radial = radial_moment(n + k + 2)
+    radial = radial_moment(max(f.degree(), 0) + max(g.degree(), 0) + 2)
     return inner_product_S(f, g, rule) * radial
 
 
@@ -167,20 +176,44 @@ class FourierCoeffs:
                                  for (n, label), v in self.items()]}
 
 
-_SAMPLE_CACHE: dict = {}
+@lru_cache(maxsize=16)
+def basis_samples(rule: QuadratureRule, max_degree: int) -> np.ndarray:
+    """Raw basis polynomials on the rule grid, shape (elements, n_t, n_phi, 4).
 
-
-def _element_samples(element, rule: QuadratureRule) -> np.ndarray:
-    """Grid samples of a basis polynomial, cached by rule geometry.
-
-    Rules with the same node counts have identical nodes (Gauss-Legendre
-    and midpoint grids are deterministic), so the geometry is a sound key.
+    Elements are ordered as basis_elements(max_degree).  The array is
+    memoized per rule and degree (the 16 most recent, a few MB at most
+    each) and shared by every caller, so it is read-only.
     """
-    key = (len(rule.t_nodes), rule.n_phi, element.index.n, element.index.label)
-    if key not in _SAMPLE_CACHE:
-        x0, x1, x2 = rule.grid()
-        _SAMPLE_CACHE[key] = element.poly.eval_grid(x0, x1, x2)
-    return _SAMPLE_CACHE[key]
+    grid = rule.grid()
+    samples = np.stack([e.poly.eval_grid(*grid) for e in basis_elements(max_degree)])
+    samples.flags.writeable = False
+    return samples
+
+
+def sphere_norms(elements) -> np.ndarray:
+    """Float L2(S) norms of the elements, in order."""
+    return np.array([float(e.norm_S) for e in elements])
+
+
+def radial_pairs(degrees: np.ndarray) -> np.ndarray:
+    """radial_moment(n + k + 2) for every pair of element degrees, shape (E, E)."""
+    table = np.array([radial_moment(k + 2) for k in range(2 * degrees.max() + 1)])
+    return table[degrees[:, None] + degrees[None, :]]
+
+
+# _CONJ_TABLE[a, b] holds the components of conj(u_a) u_b for the units u
+_UNITS = (ONE, E1, E2, E3)
+_CONJ_TABLE = np.array([[(p.conjugate() * q).to_floats() for q in _UNITS] for p in _UNITS])
+
+
+def quaternion_sphere_gram(samples: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+    """Integrals of conj(f_i) f_j over S from samples, shape (E, E, 4).
+
+    The node reduction yields every component pair (a, b) at once; the
+    pairwise products over the nodes are never stored.
+    """
+    pairs = np.einsum("itpa,jtpb,tp->ijab", samples, samples, rule.node_weights())
+    return np.einsum("ijab,abk->ijk", pairs, _CONJ_TABLE)
 
 
 def fourier_expand(f, max_degree: int, rule: QuadratureRule) -> FourierCoeffs:
@@ -195,15 +228,13 @@ def fourier_expand(f, max_degree: int, rule: QuadratureRule) -> FourierCoeffs:
     f may be an MPoly (sum of homogeneous monogenic blocks) or a sampled
     A-valued function on the rule grid.
     """
-    f_values = _grid_values(f, rule)
-    out = FourierCoeffs(max_degree)
-    for n in range(max_degree + 1):
-        for element in basis_for_degree(n):
-            e_values = _element_samples(element, rule)
-            raw = float(rule.integrate((f_values * e_values).sum(axis=-1)))
-            norm = float(element.norm_S)
-            out.values[(n, element.index.label)] = raw / norm / math.sqrt(2 * n + 3)
-    return out
+    elements = basis_elements(max_degree)
+    raw = np.einsum("itpc,tpc,tp->i", basis_samples(rule, max_degree),
+                    _grid_values(f, rule), rule.node_weights())
+    degrees = np.array([e.index.n for e in elements])
+    values = raw / sphere_norms(elements) / np.sqrt(2 * degrees + 3)
+    return FourierCoeffs(max_degree, {(e.index.n, e.index.label): float(v)
+                                      for e, v in zip(elements, values)})
 
 
 def fourier_synthesize(coeffs: FourierCoeffs, x0, x1, x2) -> np.ndarray:
@@ -223,25 +254,18 @@ def gram_matrix_ball(max_degree: int, rule: QuadratureRule | None = None) -> np.
     """Real-inner-product Gram of the full orthonormal system, degrees <= max_degree.
 
     Entry order is degree-major with the canonical within-degree ordering;
-    the matrix should be the identity (Theorem-level claim, tested).
+    the matrix should be the identity (Theorem-level claim, tested).  The
+    ball integral is the sphere integral times the radial moment of
+    r^(n+k+2), normalized by sqrt(2n+3)/norm_S on each side.
     """
-    elements = [e for n in range(max_degree + 1) for e in basis_for_degree(n)]
     if rule is None:
         rule = QuadratureRule.for_degree(2 * max_degree)
-    x0, x1, x2 = rule.grid()
-    # normalized samples of sqrt(2n+3) r^n X^(m,*)_n on the sphere grid
-    samples = [e.eval_normalized(x0, x1, x2, scale=math.sqrt(2 * e.index.n + 3))
-               for e in elements]
-    radial = {key: radial_moment(key + 2)
-              for key in {e.index.n + g.index.n for e in elements for g in elements}}
-    size = len(elements)
-    gram = np.zeros((size, size))
-    for i in range(size):
-        for j in range(i, size):
-            sphere = float(rule.integrate((samples[i] * samples[j]).sum(axis=-1)))
-            value = sphere * radial[elements[i].index.n + elements[j].index.n]
-            gram[i, j] = gram[j, i] = value
-    return gram
+    samples = basis_samples(rule, max_degree)
+    sphere = np.einsum("itpc,jtpc,tp->ij", samples, samples, rule.node_weights())
+    elements = basis_elements(max_degree)
+    degrees = np.array([e.index.n for e in elements])
+    scale = np.sqrt(2 * degrees + 3) / sphere_norms(elements)
+    return sphere * radial_pairs(degrees) * np.outer(scale, scale)
 
 
 def gram_matrix_quaternion(n: int, rule: QuadratureRule | None = None) -> np.ndarray:
@@ -251,12 +275,8 @@ def gram_matrix_quaternion(n: int, rule: QuadratureRule | None = None) -> np.nda
     product, while the quaternion-valued products keep nonzero vector
     parts.  Reported for inspection, never asserted diagonal.
     """
-    elements = basis_for_degree(n)
     if rule is None:
         rule = QuadratureRule.for_degree(2 * n)
-    size = len(elements)
-    gram = np.zeros((size, size, 4))
-    for i, f in enumerate(elements):
-        for j, g in enumerate(elements):
-            gram[i, j] = inner_product_S(f.poly, g.poly, rule) / (float(f.norm_S) * float(g.norm_S))
-    return gram
+    block = basis_samples(rule, n)[-(2 * n + 3):]  # the degree-n elements come last
+    norms = sphere_norms(basis_for_degree(n))
+    return quaternion_sphere_gram(block, rule) / np.outer(norms, norms)[..., None]

@@ -2,47 +2,58 @@
 
 Everything here reduces to a plain dict (JSON-ready, schema-tagged,
 seed and tolerance recorded, no timestamps) so the command line can emit
-it unchanged and tests can compare it structurally.  Heavier sections
-fan out across degrees through a thread pool capped by MONOKIT_THREADS;
-results are always reduced in degree order, so the output bytes do not
-depend on the thread count.
+it unchanged and tests can compare it structurally.  SECTIONS lists the
+checks that decide pass or fail, in report order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import bohr as bohr_mod
-from .basis import (BETA_VARIANTS, axial_closed_form, basis_for_degree,
+from .basis import (BETA_VARIANTS, axial_closed_form, basis_elements,
                     norm_sq_sphere_closed, sc_e1_norm_sq_closed, sc_norm_sq_closed,
                     spherical_monogenic)
 from .fueter import (closed_form_taylor, fueter_power, fueter_power_permutation_sum,
                      taylor_coefficients, taylor_reconstruct)
-from .quadrature import QuadratureRule, gram_matrix_ball, sc_inner_product_S
+from .quadrature import (QuadratureRule, basis_samples, gram_matrix_ball,
+                         quaternion_sphere_gram, radial_pairs, sphere_norms)
 
 SCHEMA = "monogenics-kit/1"
 
+# (dotted path in the report, stderr detail) for each section that decides
+# pass or fail; a None detail prints "ok" or "see report"
+_RATIO = "max ratio {max_ratio:.12f}"
+SECTIONS = (
+    ("monogenicity", None),
+    ("gram", None),
+    ("ball_sphere_relation", None),
+    ("norms", None),
+    ("taylor", None),
+    ("bounds.corollary", _RATIO),
+    ("bounds.pointwise", _RATIO),
+    ("bounds.sc", _RATIO),
+    ("bounds.constants", _RATIO),
+    ("bounds.sc_ratio_lemmas", _RATIO),
+    ("bounds.constants_ratio_lemma", _RATIO),
+    ("bohr.empirical", "max block sum {max_ratio:.6f}"),
+)
 
-def thread_count() -> int:
-    """Worker cap from MONOKIT_THREADS; 1 (serial) when unset or invalid."""
-    raw = os.environ.get("MONOKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
-
-def _map_ordered(fn, items):
-    """fn over items, optionally threaded, results in input order."""
-    workers = thread_count()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def section_status(doc: dict) -> list[tuple[str, bool, str]]:
+    """(path, passed, detail) for each entry of SECTIONS, in order."""
+    out = []
+    for path, detail in SECTIONS:
+        section = doc
+        for key in path.split("."):
+            section = section[key]
+        ok = section["passed"]
+        if detail is None:
+            detail = "ok" if ok else "see report"
+        out.append((path, ok, detail.format(**section)))
+    return out
 
 
 # -- individual check sections --------------------------------------------------
@@ -50,18 +61,13 @@ def _map_ordered(fn, items):
 
 def check_monogenicity(max_degree: int) -> dict:
     """Exact kernel check: applying the Cauchy-Riemann operator gives zero."""
-
-    def one_degree(n: int) -> list[str]:
-        return [e.index.label for e in basis_for_degree(n)
+    failures = [f"{e.index.n}:{e.index.label}" for e in basis_elements(max_degree)
                 if not e.poly.dirac().is_zero()]
-
-    failures = _map_ordered(one_degree, range(max_degree + 1))
-    flat = [f"{n}:{label}" for n, labels in enumerate(failures) for label in labels]
     return {
         "max_degree": max_degree,
         "elements": sum(2 * n + 3 for n in range(max_degree + 1)),
-        "passed": not flat,
-        "failures": flat,
+        "passed": not failures,
+        "failures": failures,
     }
 
 
@@ -85,22 +91,15 @@ def check_ball_sphere_relation(max_degree: int, tolerance: float) -> dict:
     its own radial quadrature, compared entrywise after scaling by the
     sphere-norm product so the tolerance is relative.
     """
-    from .quadrature import conj_product_grid, radial_moment
-
-    elements = [e for n in range(max_degree + 1) for e in basis_for_degree(n)]
+    elements = basis_elements(max_degree)
     rule = QuadratureRule.for_degree(2 * max_degree + 2)
-    grid = rule.grid()
-    samples = [e.poly.eval_grid(*grid) for e in elements]
-    worst = 0.0
-    for i, e in enumerate(elements):
-        for j in range(i, len(elements)):
-            g = elements[j]
-            n, k = e.index.n, g.index.n
-            sphere = rule.integrate(conj_product_grid(samples[i], samples[j]))
-            ball = sphere * radial_moment(n + k + 2)
-            expected = sphere / (2 * n + 3) if n == k else np.zeros(4)
-            scale = float(e.norm_S) * float(g.norm_S)
-            worst = max(worst, float(np.max(np.abs(ball - expected))) / scale)
+    sphere = quaternion_sphere_gram(basis_samples(rule, max_degree), rule)
+    n = np.array([e.index.n for e in elements])
+    ball = sphere * radial_pairs(n)[..., None]
+    same_degree = (n[:, None] == n[None, :])[..., None]
+    expected = np.where(same_degree, sphere / (2 * n + 3)[:, None, None], 0.0)
+    norms = sphere_norms(elements)
+    worst = float((np.abs(ball - expected).max(axis=-1) / np.outer(norms, norms)).max())
     return {
         "max_degree": max_degree,
         "max_relative_error": worst,
@@ -112,43 +111,32 @@ def check_ball_sphere_relation(max_degree: int, tolerance: float) -> dict:
 def check_norms(max_degree: int, max_degree_constants: int, tolerance: float) -> dict:
     """Quadrature norms against every closed form, worst relative error each.
 
-    The scalar-part norm of the order-(n+1) elements multiplied by e1 uses
-    its closed form only from degree 1 up; at degree 0 the closed form does
-    not hold and the true values (1 and 0 times pi) are pinned instead.
+    One node reduction gives the squared norm of each component of every
+    element.  The sphere norm sums the four; the scalar part is component
+    0; Sc(f e1) = -f_1, so the scalar part of an order-(n+1) element times
+    e1 is component 1.  That closed form is used only from degree 1 up; at
+    degree 0 it does not hold and the true values (1 and 0 times pi) are
+    pinned instead.
     """
-    def sphere_errs(n: int) -> float:
-        rule = QuadratureRule.for_degree(2 * n + 2)
-        worst = 0.0
-        for e in basis_for_degree(n):
-            closed = float(norm_sq_sphere_closed(n, e.index.m)) * math.pi
-            quad = sc_inner_product_S(e.poly, e.poly, rule)
-            worst = max(worst, abs(quad - closed) / closed)
-        return worst
+    top = max(max_degree, max_degree_constants)
+    rule = QuadratureRule.for_degree(2 * top + 2)
+    samples = basis_samples(rule, top)
+    squares = np.einsum("itpc,itpc,tp->ic", samples, samples, rule.node_weights())
+    sphere, sc, const = [], [], []
+    for e, square in zip(basis_elements(top), squares):
+        n, m = e.index.n, e.index.m
+        if n <= max_degree:
+            sphere.append((square.sum(), norm_sq_sphere_closed(n, m)))
+            if e.index.kind == "X" and m <= n:
+                sc.append((square[0], sc_norm_sq_closed(n, m)))
+        if 1 <= n <= max_degree_constants and m == n + 1:
+            const.append((square[1], sc_e1_norm_sq_closed(n)))
 
-    def sc_errs(n: int) -> float:
-        rule = QuadratureRule.for_degree(2 * n + 2)
-        worst = 0.0
-        for m in range(n + 1):
-            closed = float(sc_norm_sq_closed(n, m)) * math.pi
-            poly = spherical_monogenic(n, "X", m).poly.sc()
-            quad = sc_inner_product_S(poly, poly, rule)
-            worst = max(worst, abs(quad - closed) / closed)
-        return worst
+    def worst(pairs) -> float:
+        return max((abs(float(quad) - float(closed) * math.pi) / (float(closed) * math.pi)
+                    for quad, closed in pairs), default=0.0)
 
-    def const_errs(n: int) -> float:
-        from .quaternion import E1
-        rule = QuadratureRule.for_degree(2 * n + 2)
-        worst = 0.0
-        for kind in ("X", "Y"):
-            closed = float(sc_e1_norm_sq_closed(n)) * math.pi
-            poly = (spherical_monogenic(n, kind, n + 1).poly * E1).sc()
-            quad = sc_inner_product_S(poly, poly, rule)
-            worst = max(worst, abs(quad - closed) / closed)
-        return worst
-
-    sphere_worst = max(_map_ordered(sphere_errs, range(max_degree + 1)))
-    sc_worst = max(_map_ordered(sc_errs, range(max_degree + 1)))
-    const_worst = max(_map_ordered(const_errs, range(1, max_degree_constants + 1)))
+    sphere_worst, sc_worst, const_worst = worst(sphere), worst(sc), worst(const)
     return {
         "max_degree": max_degree,
         "sphere_norm_rel_error": sphere_worst,
@@ -162,20 +150,15 @@ def check_norms(max_degree: int, max_degree_constants: int, tolerance: float) ->
 
 def check_taylor(max_degree: int) -> dict:
     """Exact Taylor round-trip plus the permutation-sum oracle for the powers."""
-
-    def one_degree(n: int) -> tuple[bool, bool]:
-        round_trip = all(taylor_reconstruct(taylor_coefficients(e.poly)) == e.poly
-                         for e in basis_for_degree(n))
-        oracle = all(fueter_power(g, n - g).poly == fueter_power_permutation_sum(g, n - g)
-                     for g in range(n + 1))
-        return round_trip, oracle
-
-    results = _map_ordered(one_degree, range(max_degree + 1))
+    round_trip = all(taylor_reconstruct(taylor_coefficients(e.poly)) == e.poly
+                     for e in basis_elements(max_degree))
+    oracle = all(fueter_power(g, n - g).poly == fueter_power_permutation_sum(g, n - g)
+                 for n in range(max_degree + 1) for g in range(n + 1))
     return {
         "max_degree": max_degree,
-        "round_trip_exact": all(r for r, _ in results),
-        "permutation_oracle_match": all(o for _, o in results),
-        "passed": all(r and o for r, o in results),
+        "round_trip_exact": round_trip,
+        "permutation_oracle_match": oracle,
+        "passed": round_trip and oracle,
     }
 
 
@@ -274,15 +257,7 @@ def build_report(max_degree: int = 6, tolerance: float = 1e-10, seed: int = 0,
             "taylor": taylor_agreement(max_degree),
         },
     }
-    failed = []
-    for name in ("monogenicity", "gram", "ball_sphere_relation", "norms", "taylor"):
-        if not sections[name]["passed"]:
-            failed.append(name)
-    for name, sub in sections["bounds"].items():
-        if not sub["passed"]:
-            failed.append(f"bounds.{name}")
-    if not sections["bohr"]["empirical"]["passed"]:
-        failed.append("bohr.empirical")
+    failed = [path for path, ok, _ in section_status(sections) if not ok]
     sections["passed"] = not failed
     sections["failed_sections"] = failed
     return sections

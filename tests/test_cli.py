@@ -1,11 +1,15 @@
 """Command-line surface: documents, exit codes, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import monokit
 from monokit.cli import main
 from monokit.mpoly import MPoly
+from monokit.report import SECTIONS
 
 
 def run(capsys, *argv):
@@ -123,17 +127,42 @@ def test_output_flag_and_determinism(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_report_deterministic_across_thread_counts(capsys, tmp_path, monkeypatch):
+def test_report_is_deterministic(capsys, tmp_path):
     outputs = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("MONOKIT_THREADS", threads)
-        path = tmp_path / f"report-{threads}.json"
+    for name in ("a", "b"):
+        path = tmp_path / f"report-{name}.json"
         code = main(["report", "--max-degree", "1", "--samples", "100",
                      "--functions", "2", "--output", str(path)])
         capsys.readouterr()
         assert code == 0
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_report_status_lines_follow_section_table(capsys, tmp_path):
+    code, _, err = run(capsys, "report", "--max-degree", "1", "--samples", "100",
+                       "--functions", "2", "--output", str(tmp_path / "r.json"))
+    assert code == 0
+    names = [line.split()[1].rstrip(":") for line in err.splitlines()]
+    assert names == [path for path, _ in SECTIONS]
+    assert "PASS gram: ok" in err
+    assert "PASS bounds.sc_ratio_lemmas: max ratio " in err
+
+
+def test_report_at_degree_zero(capsys, tmp_path):
+    # no constants-e1 degree is in range, so that norm check is empty
+    code, _, _ = run(capsys, "report", "--max-degree", "0", "--samples", "100",
+                     "--functions", "2", "--output", str(tmp_path / "r.json"))
+    assert code == 0
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert doc["norms"]["constants_scalar_norm_rel_error"] == 0.0
+
+
+def test_package_reads_no_environment():
+    package = Path(monokit.__file__).parent
+    offenders = [path.name for path in sorted(package.glob("*.py"))
+                 if re.search(r"os\.environ|getenv", path.read_text())]
+    assert offenders == []
 
 
 def test_report_golden_regeneration(capsys, tmp_path):

@@ -9,8 +9,8 @@ import pytest
 from monokit.basis import basis_for_degree
 from monokit.moments import inner_ball_h, inner_sphere, inner_sphere_h, sphere_moment
 from monokit.mpoly import MPoly, X0, X1, X2
-from monokit.quadrature import (FourierCoeffs, QuadratureRule, fourier_expand,
-                                fourier_synthesize, gram_matrix_ball,
+from monokit.quadrature import (FourierCoeffs, QuadratureRule, basis_samples,
+                                fourier_expand, fourier_synthesize, gram_matrix_ball,
                                 gram_matrix_quaternion, inner_product_B,
                                 inner_product_S, radial_moment, sc_inner_product_S)
 
@@ -70,6 +70,40 @@ def test_gram_matrix_is_identity():
     gram = gram_matrix_ball(4)
     assert gram.shape == (35, 35)
     assert float(np.max(np.abs(gram - np.eye(35)))) < 1e-12
+
+
+def test_gram_matrix_ball_matches_pairwise_reference():
+    # one inner_product_S per pair, normalized by sqrt(2n+3)/norm_S each side
+    rule = QuadratureRule.for_degree(8)
+    elements = [e for n in range(5) for e in basis_for_degree(n)]
+    reference = np.zeros((35, 35))
+    for i, e in enumerate(elements):
+        for j, g in enumerate(elements):
+            n, k = e.index.n, g.index.n
+            sphere = inner_product_S(e.poly, g.poly, rule)[0]
+            scale = math.sqrt((2 * n + 3) * (2 * k + 3)) / (float(e.norm_S) * float(g.norm_S))
+            reference[i, j] = sphere * radial_moment(n + k + 2) * scale
+    assert float(np.max(np.abs(gram_matrix_ball(4) - reference))) < 1e-13
+
+
+def test_gram_matrix_quaternion_matches_pairwise_reference():
+    for n in range(4):
+        rule = QuadratureRule.for_degree(2 * n)
+        block = basis_for_degree(n)
+        reference = np.array([[inner_product_S(e.poly, g.poly, rule)
+                               / (float(e.norm_S) * float(g.norm_S)) for g in block]
+                              for e in block])
+        assert float(np.max(np.abs(gram_matrix_quaternion(n) - reference))) < 1e-13
+
+
+def test_basis_samples_are_shared_and_read_only():
+    rule = QuadratureRule.for_degree(6)
+    samples = basis_samples(rule, 2)
+    assert samples.shape == (3 + 5 + 7, 4, 7, 4)
+    assert basis_samples(QuadratureRule.for_degree(6), 2) is samples
+    assert not samples.flags.writeable
+    with pytest.raises(ValueError):
+        samples[0, 0, 0, 0] = 1.0
 
 
 def test_scalar_parts_are_orthogonal_on_sphere():
