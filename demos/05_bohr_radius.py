@@ -11,8 +11,8 @@ family of certified random functions.
 
 from monokit import bohr_radius, coefficient_domination, empirical_bohr_sweep, series_s1
 
-# Solve both threshold equations.  r1 comes from a bisection against the
-# closed form of the first series; r2 has a logarithmic closed form.
+# Solve both threshold equations.  r1 is the root of a quadratic in 2r;
+# r2 has a logarithmic closed form.
 report = bohr_radius()
 print(f"r1 = {report.r1:.12f}   (first series reaches 1)")
 print(f"r2 = {report.r2:.12f}   (second series reaches 1)")

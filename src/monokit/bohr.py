@@ -30,7 +30,7 @@ from .basis import basis_for_degree, sc_norm_sq_closed, spherical_monogenic
 from .fueter import taylor_coefficients
 from .legendre import double_factorial
 from .mpoly import MPoly
-from .quadrature import FourierCoeffs, QuadratureRule, fourier_expand, fourier_synthesize
+from .quadrature import FourierCoeffs, QuadratureRule, block_values, fourier_expand
 from .quaternion import E1, Quaternion
 
 
@@ -361,6 +361,14 @@ def verify_constants_ratio_lemma(k_max: int) -> BoundCheckReport:
 # -- empirical Bohr property -----------------------------------------------------
 
 
+def _sphere_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Theta-phi grid on S, both poles included, as Cartesian (n_theta, n_phi) arrays."""
+    theta = np.linspace(0.0, np.pi, n_theta)[:, None]
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)[None, :]
+    s = np.sin(theta)
+    return np.cos(theta) * np.ones_like(phi), s * np.cos(phi), s * np.sin(phi)
+
+
 def random_test_function(rng: np.random.Generator, max_degree: int = 5) -> MPoly:
     """A-valued monogenic polynomial with certified sup_B |f| < 1 and Sc f > 0.
 
@@ -383,36 +391,24 @@ def random_test_function(rng: np.random.Generator, max_degree: int = 5) -> MPoly
                 combo = combo + Fraction(num, 8) * element.poly
     if combo.is_zero():
         return MPoly.scalar(constant)
-    theta = np.linspace(0.0, np.pi, 121)[:, None]
-    phi = np.linspace(0.0, 2.0 * np.pi, 240, endpoint=False)[None, :]
-    x0 = np.cos(theta) * np.ones_like(phi)
-    s = np.sin(theta)
-    values = combo.eval_grid(x0, s * np.cos(phi), s * np.sin(phi))
+    values = combo.eval_grid(*_sphere_grid(121, 240))
     sup = float(np.sqrt((values ** 2).sum(axis=-1)).max())
     scale = budget / Fraction(math.ceil(sup * 2.0 * 1024), 1024)
     return MPoly.scalar(constant) + scale * combo
 
 
-def empirical_bohr_sum(coeffs: FourierCoeffs, r: float, grid: int = 64) -> float:
+def empirical_bohr_sum(coeffs: FourierCoeffs, r: float) -> float:
     """sum over degree blocks of r^n sup_S |block_n|, the radius claim's left side.
 
     Block n is sqrt(2n+3) { X^0 alpha_0 + sum_m (X^m alpha_m + Y^m beta_m) }
-    restricted to the sphere, its sup taken on a theta-phi grid.
+    restricted to the sphere, its sup taken on a 65 x 128 theta-phi grid.
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"need 0 <= r < 1, got {r}")
-    theta = np.linspace(0.0, np.pi, grid + 1)[:, None]
-    phi = np.linspace(0.0, 2.0 * np.pi, 2 * grid, endpoint=False)[None, :]
-    x0 = np.cos(theta) * np.ones_like(phi)
-    s = np.sin(theta)
-    x1, x2 = s * np.cos(phi), s * np.sin(phi)
+    grid = _sphere_grid(65, 128)
     total = 0.0
     for n in range(coeffs.max_degree + 1):
-        block = FourierCoeffs(n, {key: v for key, v in coeffs.values.items()
-                                  if key[0] == n})
-        if not any(block.values.values()):
-            continue
-        values = fourier_synthesize(block, x0, x1, x2)
+        values = block_values(n, coeffs.block(n), *grid)
         total += r ** n * float(np.sqrt((values ** 2).sum(axis=-1)).max())
     return total
 

@@ -236,22 +236,8 @@ class MPoly:
         return total
 
     def eval_grid(self, x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Float evaluation on broadcastable arrays.
-
-        Returns an array of shape broadcast(x0,x1,x2).shape + (4,) holding
-        the four quaternion components.
-        """
-        x0, x1, x2 = np.broadcast_arrays(np.asarray(x0, dtype=float),
-                                         np.asarray(x1, dtype=float),
-                                         np.asarray(x2, dtype=float))
-        out = np.zeros(x0.shape + (4,))
-        for exp, coeff in self.sorted_terms():
-            mono = x0 ** exp[0] * x1 ** exp[1] * x2 ** exp[2]
-            comps = coeff.to_floats()
-            for i in range(4):
-                if comps[i]:
-                    out[..., i] += comps[i] * mono
-        return out
+        """Float evaluation on broadcastable arrays; components on a last axis of 4."""
+        return eval_terms(((e, c.to_floats()) for e, c in self.sorted_terms()), x0, x1, x2)
 
     # -- serialization ----------------------------------------------------------
 
@@ -264,8 +250,11 @@ class MPoly:
         out = {}
         for term in data["terms"]:
             exp = tuple(term["e"])
-            if len(exp) != 3:
-                raise ValueError(f"exponent triple expected, got {term['e']}")
+            # bool is an int subclass, so compare types exactly
+            if len(exp) != 3 or not all(type(e) is int and e >= 0 for e in exp):
+                raise ValueError(f"exponent triple of ints >= 0 expected, got {term['e']}")
+            if exp in out:
+                raise ValueError(f"exponent {term['e']} appears twice")
             out[exp] = Quaternion.from_strings(term["c"])
         return cls(out)
 
@@ -275,6 +264,20 @@ class MPoly:
     @classmethod
     def from_json(cls, text: str) -> MPoly:
         return cls.from_json_dict(json.loads(text))
+
+
+def eval_terms(terms, x0, x1, x2) -> np.ndarray:
+    """The one float evaluator: (exponent, 4 floats) terms summed in order; grid+(4,)."""
+    x0, x1, x2 = np.broadcast_arrays(np.asarray(x0, dtype=float),
+                                     np.asarray(x1, dtype=float),
+                                     np.asarray(x2, dtype=float))
+    out = np.zeros(x0.shape + (4,))
+    for exp, comps in terms:
+        mono = x0 ** exp[0] * x1 ** exp[1] * x2 ** exp[2]
+        for i in range(4):
+            if comps[i]:
+                out[..., i] += comps[i] * mono
+    return out
 
 
 X0 = MPoly.variable(0)

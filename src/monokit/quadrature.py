@@ -15,6 +15,9 @@ and are used by the tests to pin these numbers down.
 Every float inner product between basis elements reads one memoized
 sample array (basis_samples) and reduces it over the nodes with a single
 np.einsum, without BLAS, so repeated runs produce byte-identical results.
+Synthesis folds each degree block into one coefficient per monomial
+(block_values: one einsum with block_table) and evaluates that single
+polynomial with mpoly.eval_terms, never an array with an element axis.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import basis_elements, basis_for_degree, degree_indices
-from .mpoly import MPoly
+from .mpoly import Exponent, MPoly, eval_terms
 from .quaternion import E1, E2, E3, ONE
 
 
@@ -89,16 +92,6 @@ def _require_exactness(rule: QuadratureRule, needed: int):
         raise ValueError(f"rule exact to degree {rule.exactness_degree}, need {needed}")
 
 
-def _grid_values(f, rule: QuadratureRule) -> np.ndarray:
-    x0, x1, x2 = rule.grid()
-    if isinstance(f, MPoly):
-        return f.eval_grid(x0, x1, x2)
-    values = np.asarray(f(x0, x1, x2), dtype=float)
-    if values.shape != x0.shape + (4,):
-        raise ValueError("sampled function must return quaternion components, shape grid+(4,)")
-    return values
-
-
 def conj_product_grid(fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
     """conj(f) * g from component samples, componentwise on the grid."""
     fa, fb, fc, fd = (fv[..., i] for i in range(4))
@@ -119,20 +112,18 @@ def radial_moment(power: int) -> float:
     return float(np.dot(weights, 0.5 * r ** power))
 
 
-def inner_product_S(f, g, rule: QuadratureRule) -> np.ndarray:
+def inner_product_S(f: MPoly, g: MPoly, rule: QuadratureRule) -> np.ndarray:
     """Quaternion-valued integral of conj(f) g over S, as a 4-vector."""
-    if isinstance(f, MPoly) and isinstance(g, MPoly):
-        _require_exactness(rule, max(f.degree(), 0) + max(g.degree(), 0))
-    prod = conj_product_grid(_grid_values(f, rule), _grid_values(g, rule))
-    return rule.integrate(prod)
+    _require_exactness(rule, max(f.degree(), 0) + max(g.degree(), 0))
+    grid = rule.grid()
+    return rule.integrate(conj_product_grid(f.eval_grid(*grid), g.eval_grid(*grid)))
 
 
-def sc_inner_product_S(f, g, rule: QuadratureRule) -> float:
+def sc_inner_product_S(f: MPoly, g: MPoly, rule: QuadratureRule) -> float:
     """The real inner product: integral of Sc(conj(f) g) over S."""
-    if isinstance(f, MPoly) and isinstance(g, MPoly):
-        _require_exactness(rule, max(f.degree(), 0) + max(g.degree(), 0))
-    fv = _grid_values(f, rule)
-    gv = _grid_values(g, rule)
+    _require_exactness(rule, max(f.degree(), 0) + max(g.degree(), 0))
+    grid = rule.grid()
+    fv, gv = f.eval_grid(*grid), g.eval_grid(*grid)
     return float(rule.integrate((fv * gv).sum(axis=-1)))
 
 
@@ -216,7 +207,7 @@ def quaternion_sphere_gram(samples: np.ndarray, rule: QuadratureRule) -> np.ndar
     return np.einsum("ijab,abk->ijk", pairs, _CONJ_TABLE)
 
 
-def fourier_expand(f, max_degree: int, rule: QuadratureRule) -> FourierCoeffs:
+def fourier_expand(f: MPoly, max_degree: int, rule: QuadratureRule) -> FourierCoeffs:
     """Project onto the orthonormal system, degrees 0..max_degree.
 
     The coefficient of sqrt(2n+3) r^n X^(m,*)_n is the real ball inner
@@ -225,29 +216,45 @@ def fourier_expand(f, max_degree: int, rule: QuadratureRule) -> FourierCoeffs:
 
         alpha = <f restricted to S, X^(m,*)_n>_S / sqrt(2n+3).
 
-    f may be an MPoly (sum of homogeneous monogenic blocks) or a sampled
-    A-valued function on the rule grid.
+    f is a polynomial, sampled on the rule grid; the rule must integrate
+    its products with the degree-max_degree elements exactly.
     """
     elements = basis_elements(max_degree)
     raw = np.einsum("itpc,tpc,tp->i", basis_samples(rule, max_degree),
-                    _grid_values(f, rule), rule.node_weights())
+                    f.eval_grid(*rule.grid()), rule.node_weights())
     degrees = np.array([e.index.n for e in elements])
     values = raw / sphere_norms(elements) / np.sqrt(2 * degrees + 3)
     return FourierCoeffs(max_degree, {(e.index.n, e.index.label): float(v)
                                       for e, v in zip(elements, values)})
 
 
+@lru_cache(maxsize=None)
+def block_table(n: int) -> tuple[tuple[Exponent, ...], np.ndarray]:
+    """The degree-n block as one read-only, shared coefficient table.
+
+    Returns the sorted exponents of the elements and a (2n+3, M, 4) array whose
+    [i, j] is element i's coefficient on exponent j, in degree_indices(n) order.
+    """
+    elements = basis_for_degree(n)
+    exps = tuple(sorted({exp for e in elements for exp in e.poly.terms}))
+    table = np.array([[e.poly.coefficient(exp).to_floats() for exp in exps]
+                      for e in elements])
+    table.flags.writeable = False
+    return exps, table
+
+
+def block_values(n: int, alphas, x0, x1, x2) -> np.ndarray:
+    """Block n of the series, alphas in degree_indices(n) order, at points; grid+(4,)."""
+    exps, table = block_table(n)
+    scale = np.asarray(alphas, dtype=float) * math.sqrt(2 * n + 3)
+    scale = scale / sphere_norms(basis_for_degree(n))
+    return eval_terms(zip(exps, np.einsum("i,imc->mc", scale, table)), x0, x1, x2)
+
+
 def fourier_synthesize(coeffs: FourierCoeffs, x0, x1, x2) -> np.ndarray:
     """Evaluate the truncated series at Cartesian points; returns grid+(4,)."""
-    x0 = np.asarray(x0, dtype=float)
-    total = np.zeros(np.broadcast(x0, x1, x2).shape + (4,))
-    for n in range(coeffs.max_degree + 1):
-        for element in basis_for_degree(n):
-            c = coeffs.values.get((n, element.index.label), 0.0)
-            if c:
-                scale = c * math.sqrt(2 * n + 3) / float(element.norm_S)
-                total += scale * element.poly.eval_grid(x0, x1, x2)
-    return total
+    return sum(block_values(n, coeffs.block(n), x0, x1, x2)
+               for n in range(coeffs.max_degree + 1))
 
 
 def gram_matrix_ball(max_degree: int, rule: QuadratureRule | None = None) -> np.ndarray:

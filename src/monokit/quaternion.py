@@ -14,6 +14,7 @@ so it is exposed as a constructor plus a predicate rather than a type.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -32,6 +33,13 @@ def frac(value: Union[Rational, str]) -> Fraction:
 def frac_str(value: Fraction) -> str:
     """Canonical wire form 'p/q', lowest terms, q > 0, denominator always written."""
     return f"{value.numerator}/{value.denominator}"
+
+
+def parse_frac_str(text) -> Fraction:
+    """Inverse of frac_str: exactly 'p/q' with integers p and q > 0."""
+    if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+/0*[1-9][0-9]*", text):
+        raise ValueError(f"rational 'p/q' with q > 0 expected, got {text!r}")
+    return Fraction(text)
 
 
 class Quaternion:
@@ -156,7 +164,7 @@ class Quaternion:
     def from_strings(cls, items) -> Quaternion:
         if len(items) != 4:
             raise ValueError(f"need 4 components, got {len(items)}")
-        return cls(*[Fraction(s) for s in items])
+        return cls(*[parse_frac_str(s) for s in items])
 
 
 def reduced(a: Union[Rational, str] = 0, b: Union[Rational, str] = 0,

@@ -165,54 +165,49 @@ def check_taylor(max_degree: int) -> dict:
 # -- closed-form agreement tables (golden material) ------------------------------
 
 
+def _agreement_variants(max_degree: int, status) -> dict:
+    """Entries and tally per variant; status(n, l, variant) is agree, disagree or
+    undefined (the reading divides by zero), tallied in that key order."""
+    variants = {}
+    for variant in BETA_VARIANTS:
+        entries = [{"n": n, "l": l, "status": status(n, l, variant)}
+                   for n in range(max_degree + 1) for l in range(n + 2)]
+        tally = {key: sum(e["status"] == key for e in entries)
+                 for key in ("agree", "disagree", "undefined")}
+        variants[variant] = {"entries": entries, "summary": tally}
+    return variants
+
+
 def axial_agreement(max_degree: int) -> dict:
     """Printed axial closed forms vs the derivative-of-harmonic route, by variant.
 
-    Status per (n, l): agree (exact polynomial equality), disagree, or
-    undefined (the reading produces a division by zero).  Nothing here is
-    asserted; shifts in status are what the golden comparison guards.
+    Agree means exact polynomial equality.  Nothing here is asserted;
+    shifts in status are what the golden comparison guards.
     """
-    variants = {}
-    for variant in BETA_VARIANTS:
-        entries = []
-        tally = {"agree": 0, "disagree": 0, "undefined": 0}
-        for n in range(max_degree + 1):
-            for l in range(n + 2):
-                canonical = spherical_monogenic(n, "X", l).poly
-                candidate = axial_closed_form(n, l, variant)
-                if candidate is None:
-                    status = "undefined"
-                else:
-                    status = "agree" if candidate == canonical else "disagree"
-                tally[status] += 1
-                entries.append({"n": n, "l": l, "status": status})
-        variants[variant] = {"entries": entries, "summary": tally}
+    def status(n: int, l: int, variant: str) -> str:
+        candidate = axial_closed_form(n, l, variant)
+        if candidate is None:
+            return "undefined"
+        return "agree" if candidate == spherical_monogenic(n, "X", l).poly else "disagree"
+
     return {"family": "axial-closed-forms", "max_degree": max_degree,
             "canonical": "half-conjugate-derivative-of-solid-harmonic",
-            "variants": variants}
+            "variants": _agreement_variants(max_degree, status)}
 
 
 def taylor_agreement(max_degree: int) -> dict:
     """Printed Taylor-coefficient closed forms vs exact coefficients, by variant."""
-    variants = {}
-    for variant in BETA_VARIANTS:
-        entries = []
-        tally = {"agree": 0, "disagree": 0, "undefined": 0}
-        for n in range(max_degree + 1):
-            for l in range(n + 2):
-                exact = taylor_coefficients(spherical_monogenic(n, "X", l).poly)
-                candidate = closed_form_taylor(n, l, variant)
-                if candidate is None:
-                    status = "undefined"
-                else:
-                    same = all(candidate[gamma] == c for gamma, c in exact.items())
-                    status = "agree" if same else "disagree"
-                tally[status] += 1
-                entries.append({"n": n, "l": l, "status": status})
-        variants[variant] = {"entries": entries, "summary": tally}
+    def status(n: int, l: int, variant: str) -> str:
+        candidate = closed_form_taylor(n, l, variant)
+        if candidate is None:
+            return "undefined"
+        exact = taylor_coefficients(spherical_monogenic(n, "X", l).poly)
+        same = all(candidate[gamma] == c for gamma, c in exact.items())
+        return "agree" if same else "disagree"
+
     return {"family": "taylor-closed-forms", "max_degree": max_degree,
             "canonical": "repeated-partials-of-basis-element",
-            "variants": variants}
+            "variants": _agreement_variants(max_degree, status)}
 
 
 # -- top-level document -----------------------------------------------------------

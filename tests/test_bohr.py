@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from monokit.basis import basis_for_degree
 from monokit.bohr import (bohr_radius, coefficient_domination, empirical_bohr_sum,
                           empirical_bohr_sweep, random_test_function,
                           series_f1_threshold, series_f1_threshold_truncated,
@@ -146,6 +147,24 @@ def test_empirical_sum_for_constant():
     coeffs = fourier_expand(f, 2, QuadratureRule.for_degree(6))
     for r in (0.0, 0.049, 0.3):
         assert empirical_bohr_sum(coeffs, r) == pytest.approx(0.75, abs=1e-12)
+
+
+def test_empirical_sum_matches_per_element_reference():
+    f = random_test_function(np.random.default_rng(3), max_degree=5)
+    coeffs = fourier_expand(f, 5, QuadratureRule.for_degree(12))
+    assert all(any(abs(c) > 1e-6 for c in coeffs.block(n)) for n in range(6))
+    theta = np.linspace(0.0, math.pi, 65)[:, None]
+    phi = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)[None, :]
+    s = np.sin(theta)
+    grid = (np.cos(theta) * np.ones_like(phi), s * np.cos(phi), s * np.sin(phi))
+    r = 0.9
+    reference = 0.0
+    for n in range(6):
+        block = np.zeros(grid[0].shape + (4,))
+        for e, c in zip(basis_for_degree(n), coeffs.block(n)):
+            block += c * math.sqrt(2 * n + 3) / float(e.norm_S) * e.poly.eval_grid(*grid)
+        reference += r ** n * float(np.sqrt((block ** 2).sum(axis=-1)).max())
+    assert empirical_bohr_sum(coeffs, r) == pytest.approx(reference, rel=1e-13)
 
 
 def test_empirical_sweep_small():

@@ -85,6 +85,28 @@ def test_fourier_round_trip(capsys, tmp_path):
     assert set(nonzero) == {(1, "X:0")}
 
 
+_TERM = {"e": [1, 0, 0], "c": ["1/2", "0/1", "0/1", "0/1"]}
+
+
+@pytest.mark.parametrize("terms", [
+    [{"e": [0, 0, 0], "c": ["1/0", "0/1", "0/1", "0/1"]}],
+    [{"e": [1.5, 0, 0], "c": _TERM["c"]}],
+    [{"e": [-1, 0, 0], "c": _TERM["c"]}],
+    [{"e": [0, 0, 0], "c": ["0.5", "0/1", "0/1", "0/1"]}],
+    [_TERM, {"e": [1, 0, 0], "c": ["1/3", "0/1", "0/1", "0/1"]}],
+    [{"e": [True, 0, 0], "c": _TERM["c"]}],
+], ids=["zero-denominator", "float-exponent", "negative-exponent", "decimal-component",
+        "duplicate-exponent", "bool-exponent"])
+def test_fourier_rejects_malformed_input(capsys, tmp_path, terms):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"terms": terms}))
+    code, out, err = run(capsys, "fourier", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot parse polynomial")
+    assert "Traceback" not in err
+
+
 def test_fourier_missing_input(capsys, tmp_path):
     code, _, err = run(capsys, "fourier", "--input", str(tmp_path / "nope.json"))
     assert code == 2

@@ -10,7 +10,7 @@ from monokit.basis import basis_for_degree
 from monokit.moments import inner_ball_h, inner_sphere, inner_sphere_h, sphere_moment
 from monokit.mpoly import MPoly, X0, X1, X2
 from monokit.quadrature import (FourierCoeffs, QuadratureRule, basis_samples,
-                                fourier_expand, fourier_synthesize, gram_matrix_ball,
+                                block_table, fourier_expand, fourier_synthesize, gram_matrix_ball,
                                 gram_matrix_quaternion, inner_product_B,
                                 inner_product_S, radial_moment, sc_inner_product_S)
 
@@ -104,6 +104,12 @@ def test_basis_samples_are_shared_and_read_only():
     assert not samples.flags.writeable
     with pytest.raises(ValueError):
         samples[0, 0, 0, 0] = 1.0
+    exps, table = block_table(3)
+    assert table.shape == (9, len(exps), 4)
+    assert block_table(3)[1] is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1.0
 
 
 def test_scalar_parts_are_orthogonal_on_sphere():
@@ -142,6 +148,13 @@ def test_fourier_round_trip():
     recon = fourier_synthesize(coeffs, x0, s * np.cos(phi), s * np.sin(phi))
     direct = f.eval_grid(x0, s * np.cos(phi), s * np.sin(phi))
     assert float(np.max(np.abs(recon - direct))) < 1e-10
+    # reference: one eval_grid per element, scaled to the orthonormal system
+    reference = np.zeros(x0.shape + (4,))
+    for n in range(5):
+        for e, c in zip(basis_for_degree(n), coeffs.block(n)):
+            scale = c * math.sqrt(2 * n + 3) / float(e.norm_S)
+            reference += scale * e.poly.eval_grid(x0, s * np.cos(phi), s * np.sin(phi))
+    assert float(np.max(np.abs(recon - reference))) <= 1e-13 * float(np.max(np.abs(reference)))
     absent = [v for (n, _), v in coeffs.values.items() if n == 3]
     assert max(abs(v) for v in absent) < 1e-12
 
