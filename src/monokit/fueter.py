@@ -12,7 +12,10 @@ on the last factor,
     V_gamma = (g1/n) V_(g1-1,g2) z1 + (g2/n) V_(g1,g2-1) z2,
 
 which agrees with the literal permutation sum (kept here as a brute-force
-oracle for the tests).  A homogeneous monogenic polynomial of degree n is
+oracle for the tests).  The oracle multiplies out each of the C(n, g1)
+distinct words once, factor by factor: a word stands for the g1! g2!
+orders that put z1 at the same places, so the (1/n!) sum over orders is
+the mean over words.  A homogeneous monogenic polynomial of degree n is
 recovered exactly from its n+1 Taylor coefficients
 
     c_gamma = (1/(g1! g2!)) d^g1/dx1 d^g2/dx2 f at 0,
@@ -73,15 +76,16 @@ def fueter_power(g1: int, g2: int) -> FueterPower:
 
 
 def fueter_power_permutation_sum(g1: int, g2: int) -> MPoly:
-    """Literal (1/n!) sum over all n! factor orders; oracle, exponential cost."""
+    """The (1/n!) sum over all n! factor orders, as the mean of the C(n, g1)
+    distinct words, each multiplied out literally; oracle, exponential cost."""
     n = g1 + g2
     total = MPoly.zero()
-    for order in itertools.permutations([Z1] * g1 + [Z2] * g2):
+    for z1_places in itertools.combinations(range(n), g1):
         prod = MPoly.one()
-        for factor in order:
-            prod = prod * factor
+        for i in range(n):
+            prod = prod * (Z1 if i in z1_places else Z2)
         total = total + prod
-    return total / math.factorial(n)
+    return total / math.comb(n, g1)
 
 
 def taylor_coefficients(f: MPoly) -> TaylorCoeffs:

@@ -14,17 +14,27 @@ with the single transcendental factored out.
 
 Over the unit ball a monomial of total degree n picks up the radial
 factor 1/(n+3), term by term.
+
+inner_sphere and inner_ball share one kernel on Sc(conj(f) g) = sum_c f_c g_c:
+both polynomials are scaled to integer components by the lcm of their
+denominators, only terms of the same exponent parity pattern are paired
+(other moments vanish), and one division comes last.  inner_sphere_h and
+inner_ball_h integrate the quaternion product conj(f) g; they are the reference.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 
 from .legendre import double_factorial
 from .mpoly import MPoly
 from .quaternion import Quaternion
 
 
+@lru_cache(maxsize=None)
 def sphere_moment(a: int, b: int, c: int) -> Fraction:
     """Rational q with  integral_S x0^a x1^b x2^c dsigma = q * pi."""
     if min(a, b, c) < 0:
@@ -35,6 +45,7 @@ def sphere_moment(a: int, b: int, c: int) -> Fraction:
     return Fraction(num, double_factorial(a + b + c + 1))
 
 
+@lru_cache(maxsize=None)
 def ball_moment(a: int, b: int, c: int) -> Fraction:
     """Rational q with  integral_B x0^a x1^b x2^c dV = q * pi."""
     return sphere_moment(a, b, c) / (a + b + c + 3)
@@ -63,12 +74,34 @@ def inner_sphere_h(f: MPoly, g: MPoly) -> Quaternion:
     return sphere_integral(f.conjugate() * g)
 
 
-def inner_sphere(f: MPoly, g: MPoly) -> Fraction:
-    """Real product: integral_S Sc(conj(f) g) dsigma, over pi.
+def _integer_terms(poly: MPoly) -> tuple[int, dict]:
+    """(lcm d of the denominators, parity pattern -> [(exponent, d * components)])."""
+    d = math.lcm(*(x.denominator for q in poly.terms.values() for x in q.components()))
+    groups = defaultdict(list)
+    for exp, q in poly.terms.items():
+        ints = [x.numerator * (d // x.denominator) for x in q.components()]
+        groups[(exp[0] % 2, exp[1] % 2, exp[2] % 2)].append((exp, ints))
+    return d, groups
 
-    Equals the sum of the four componentwise real products.
-    """
-    return inner_sphere_h(f, g).sc()
+
+def _real_product(f: MPoly, g: MPoly, moment) -> Fraction:
+    """sum_c integral f_c g_c, over pi: the scalar part of integral conj(f) g."""
+    df, f_groups = _integer_terms(f)
+    dg, g_groups = (df, f_groups) if g is f else _integer_terms(g)
+    weights = defaultdict(int)
+    for parity, f_terms in f_groups.items():
+        g_terms = g_groups.get(parity, ())
+        for e1, (a0, a1, a2, a3) in f_terms:
+            for e2, (b0, b1, b2, b3) in g_terms:
+                weights[(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])] += \
+                    a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+    total = sum((w * moment(*exp) for exp, w in weights.items() if w), Fraction(0))
+    return total / (df * dg)
+
+
+def inner_sphere(f: MPoly, g: MPoly) -> Fraction:
+    """Real product: integral_S Sc(conj(f) g) dsigma, over pi."""
+    return _real_product(f, g, sphere_moment)
 
 
 def inner_ball_h(f: MPoly, g: MPoly) -> Quaternion:
@@ -76,7 +109,7 @@ def inner_ball_h(f: MPoly, g: MPoly) -> Quaternion:
 
 
 def inner_ball(f: MPoly, g: MPoly) -> Fraction:
-    return inner_ball_h(f, g).sc()
+    return _real_product(f, g, ball_moment)
 
 
 def norm_sq_sphere(f: MPoly) -> Fraction:

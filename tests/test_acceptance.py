@@ -77,10 +77,14 @@ def test_criterion_4_norm_closed_forms():
 
 
 def test_criterion_5_taylor_round_trip():
+    start = time.perf_counter()
     out = check_taylor(6)
-    emit(5, "Taylor round-trip and permutation oracle, n<=6", out["passed"],
+    elapsed = time.perf_counter() - start
+    ok = out["passed"] and elapsed < 10.0
+    emit(5, "Taylor round-trip and permutation oracle, n<=6", ok,
          f"round_trip_exact={out['round_trip_exact']},"
-         f" oracle={out['permutation_oracle_match']} (rational equality)")
+         f" oracle={out['permutation_oracle_match']} (rational equality),"
+         f" {elapsed:.2f}s < 10s")
 
 
 def test_criterion_6_bound_sweeps():

@@ -1,5 +1,6 @@
 """Symmetrized power polynomials and the exact Taylor expansion."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -23,10 +24,23 @@ def test_low_order_powers():
 
 
 def test_powers_match_permutation_oracle():
-    for n in range(6):
+    for n in range(8):
         for g1 in range(n + 1):
             assert fueter_power(g1, n - g1).poly == \
                 fueter_power_permutation_sum(g1, n - g1)
+
+
+def test_permutation_oracle_is_the_sum_over_all_orders():
+    # the n! definition itself: every factor order, duplicates included
+    for n in range(6):
+        for g1 in range(n + 1):
+            total = MPoly.zero()
+            for order in itertools.permutations([Z1] * g1 + [Z2] * (n - g1)):
+                prod = MPoly.one()
+                for factor in order:
+                    prod = prod * factor
+                total = total + prod
+            assert fueter_power_permutation_sum(g1, n - g1) == total / math.factorial(n)
 
 
 def test_powers_are_monogenic():

@@ -1,0 +1,73 @@
+"""The real-product kernel of the moments module against the quaternion route."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from monokit.basis import basis_for_degree, norm_sq_sphere_closed
+from monokit.moments import (inner_ball, inner_ball_h, inner_sphere, inner_sphere_h,
+                             norm_sq_ball, norm_sq_sphere)
+from monokit.mpoly import MPoly
+from monokit.quaternion import Quaternion
+
+
+def assert_kernel_matches_reference(f: MPoly, g: MPoly) -> None:
+    assert inner_sphere(f, g) == inner_sphere_h(f, g).sc()
+    assert inner_ball(f, g) == inner_ball_h(f, g).sc()
+
+
+def test_basis_pairs_match_quaternion_route():
+    elements = [e for n in range(4) for e in basis_for_degree(n)]
+    for e in elements:
+        for g in elements:
+            assert_kernel_matches_reference(e.poly, g.poly)
+            if e.index.n != g.index.n:
+                assert inner_sphere(e.poly, g.poly) == 0
+                assert inner_ball(e.poly, g.poly) == 0
+
+
+def test_mixed_parity_and_zero_polynomials_match_quaternion_route():
+    f = MPoly({(0, 0, 0): Quaternion(Fraction(1, 3), -2, 0, Fraction(5, 7)),
+               (1, 0, 0): Quaternion(0, Fraction(-3, 4), 1, 0),
+               (2, 1, 0): Quaternion(Fraction(2, 9), 0, 0, -1),
+               (0, 2, 2): Quaternion(1, Fraction(1, 6), Fraction(-1, 10), 3)})
+    g = MPoly({(0, 0, 0): Quaternion(Fraction(-5, 2), 1, 1, 0),
+               (0, 1, 1): Quaternion(Fraction(7, 11), 0, -4, Fraction(1, 8)),
+               (2, 0, 0): Quaternion(0, 0, Fraction(3, 5), 0),
+               (2, 1, 0): Quaternion(1, Fraction(-2, 3), 0, 0),
+               (1, 0, 3): Quaternion(0, 2, 0, Fraction(-9, 4))})
+    zero = MPoly.zero()
+    for a, b in ((f, g), (g, f), (f, f), (f, zero), (zero, g), (zero, zero)):
+        assert_kernel_matches_reference(a, b)
+    assert inner_sphere(f, g) != 0
+    assert inner_sphere(f, zero) == 0 and inner_ball(zero, zero) == 0
+    assert norm_sq_sphere(f) == inner_sphere_h(f, f).sc()
+    assert norm_sq_ball(f) == inner_ball_h(f, f).sc()
+
+
+def test_sphere_norms_equal_closed_forms_through_degree_12():
+    count = 0
+    for n in range(13):
+        for e in basis_for_degree(n):
+            count += 1
+            assert norm_sq_sphere(e.poly) == norm_sq_sphere_closed(n, e.index.m)
+    assert count == 195
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+exponents = st.sampled_from([(a, b, c) for a in range(7) for b in range(7 - a)
+                             for c in range(7 - a - b)])
+quaternions = st.builds(Quaternion, small_fractions, small_fractions,
+                        small_fractions, small_fractions)
+polys = st.dictionaries(exponents, quaternions, max_size=8).map(MPoly)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(polys, polys)
+def test_kernel_is_the_symmetric_scalar_part_of_the_quaternion_route(f, g):
+    assert_kernel_matches_reference(f, g)
+    assert inner_sphere(f, g) == inner_sphere(g, f)
+    assert inner_ball(f, g) == inner_ball(g, f)
+    copy_of_f = MPoly(dict(f.terms))
+    assert inner_sphere(f, f) == inner_sphere(f, copy_of_f)
+    assert inner_ball(f, f) == inner_ball(f, copy_of_f)
