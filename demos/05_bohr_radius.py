@@ -35,9 +35,9 @@ for kind, m in (("X", 0), ("X", 1), ("X", 3)):
     value = coefficient_domination(2, kind, m, alpha0=0.5, delta=0.5)
     print(f"  kind={kind}, m={m}: {value:.6f}")
 
-# Empirical check: random reduced-quaternion polynomials, certified to have
-# modulus < 1 and positive scalar part, get Fourier-expanded; the block sums
-# at r = 0.049 stay below 1.
+# Empirical check: random reduced-quaternion polynomials, drawn as coefficient
+# vectors over the basis and certified to have modulus < 1 and positive scalar
+# part; their Fourier block sums at r = 0.049 stay below 1.
 sweep = empirical_bohr_sweep(12, r=0.049, seed=99)
 print(f"\nempirical sweep: {sweep.samples} functions at r=0.049, "
       f"max block sum {sweep.max_ratio:.6f} -> passed={sweep.passed}")

@@ -16,6 +16,9 @@ independent oracle.
 The verify_* functions sweep the coefficient and pointwise inequalities
 (Taylor-coefficient bounds, pointwise polynomial bounds, scalar-part
 bounds) and report the worst observed/allowed ratio per claim.
+
+The empirical sweep draws each random admissible f as a coefficient vector
+over the basis; no polynomial is built or expanded per function.
 """
 
 from __future__ import annotations
@@ -26,12 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import basis_for_degree, sc_norm_sq_closed, spherical_monogenic
+from .basis import basis_elements, basis_for_degree, sc_norm_sq_closed, spherical_monogenic
 from .fueter import taylor_coefficients
 from .legendre import double_factorial
-from .mpoly import MPoly
-from .quadrature import FourierCoeffs, QuadratureRule, block_values, fourier_expand
-from .quaternion import E1, Quaternion
+from .quadrature import FourierCoeffs, block_values, fourier_synthesize
 
 
 # -- majorant series -----------------------------------------------------------
@@ -295,12 +296,12 @@ def verify_pointwise_bounds(n_max: int, n_samples: int = 10_000,
     const_report = BoundCheckReport("constants-e1-scalar-bounds", (0, n_max), 0.0, True)
     equator = np.stack([np.zeros(360), np.cos(np.linspace(0, 2 * np.pi, 360, endpoint=False)),
                         np.sin(np.linspace(0, 2 * np.pi, 360, endpoint=False))], axis=1)
+    pts = np.concatenate([sphere, equator])
     for n in range(n_max + 1):
         for kind in ("X", "Y"):
-            poly = spherical_monogenic(n, kind, n + 1).poly * E1
-            pts = np.concatenate([sphere, equator])
+            poly = spherical_monogenic(n, kind, n + 1).poly
             values = poly.eval_grid(pts[:, 0], pts[:, 1], pts[:, 2])
-            observed = float(np.max(np.abs(values[..., 0])))
+            observed = float(np.max(np.abs(values[..., 1])))  # Sc(f e1) = -f_1
             bound = 0.5 * (n + 1) * double_factorial(2 * n + 1)
             ratio = observed / bound
             const_report.samples += len(pts)
@@ -369,32 +370,35 @@ def _sphere_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.n
     return np.cos(theta) * np.ones_like(phi), s * np.cos(phi), s * np.sin(phi)
 
 
-def random_test_function(rng: np.random.Generator, max_degree: int = 5) -> MPoly:
-    """A-valued monogenic polynomial with certified sup_B |f| < 1 and Sc f > 0.
+def random_test_function(rng: np.random.Generator, max_degree: int = 5) -> FourierCoeffs:
+    """Fourier coefficients of an A-valued monogenic f with certified sup_B |f| < 1, Sc f > 0.
 
-    Random small rational coefficients on the basis elements are combined,
-    the sup over the ball is estimated on a dense sphere grid (components
-    are harmonic, so |f|^2 attains its maximum on the boundary), and the
-    combination is rescaled by a rational factor so its modulus stays under
-    a budget b < min(c, 1 - c) for a random constant block c in [1/4, 3/4].
-    Then |f| <= c + b < 1 and Sc f >= c - b > 0.  The margin (factor 2 on
-    the grid estimate) dwarfs any grid discretization error at these
-    degrees, so both hypotheses hold with room to spare.
+    f is a constant c in [1/4, 3/4] plus exact rational weights num/8 on the
+    raw basis elements through max_degree, rescaled by an exact rational
+    factor.  The sup of the weighted sum over the ball is estimated on a
+    dense sphere grid (components are harmonic, so |f|^2 attains its maximum
+    on the boundary), and the scale keeps its modulus under a budget
+    b < min(c, 1 - c).  Then |f| <= c + b < 1 and Sc f >= c - b > 0.  The
+    margin (factor 2 on the grid estimate) dwarfs any grid discretization
+    error at these degrees, so both hypotheses hold with room to spare.
     """
     constant = Fraction(int(rng.integers(4, 13)), 16)
     budget = min(constant, 1 - constant) * Fraction(3, 4)
-    combo = MPoly.zero()
-    for n in range(max_degree + 1):
-        for element in basis_for_degree(n):
-            num = int(rng.integers(-9, 10))
-            if num:
-                combo = combo + Fraction(num, 8) * element.poly
-    if combo.is_zero():
-        return MPoly.scalar(constant)
-    values = combo.eval_grid(*_sphere_grid(121, 240))
+    elements = basis_elements(max_degree)
+    weights = [Fraction(int(rng.integers(-9, 10)), 8) for _ in elements]
+
+    def coefficients(ws) -> FourierCoeffs:  # unit vectors sqrt(2n+3) e / norm_S
+        return FourierCoeffs(max_degree, {
+            (e.index.n, e.index.label): float(w) * float(e.norm_S) / math.sqrt(2 * e.index.n + 3)
+            for e, w in zip(elements, ws)})
+
+    values = fourier_synthesize(coefficients(weights), *_sphere_grid(121, 240))
     sup = float(np.sqrt((values ** 2).sum(axis=-1)).max())
-    scale = budget / Fraction(math.ceil(sup * 2.0 * 1024), 1024)
-    return MPoly.scalar(constant) + scale * combo
+    # max(.., 1) only matters for an all-zero draw, which leaves f = c
+    scale = budget / Fraction(max(math.ceil(sup * 2.0 * 1024), 1), 1024)
+    weights = [scale * w for w in weights]
+    weights[0] += 2 * constant  # the degree-0 element X:0 is the constant 1/2
+    return coefficients(weights)
 
 
 def empirical_bohr_sum(coeffs: FourierCoeffs, r: float) -> float:
@@ -417,12 +421,9 @@ def empirical_bohr_sweep(count: int, r: float = 0.049, seed: int = 2024,
                          max_degree: int = 5) -> BoundCheckReport:
     """Generate `count` admissible functions and check the block-moduli sum at r."""
     rng = np.random.default_rng(seed)
-    rule = QuadratureRule.for_degree(2 * max_degree)
     report = BoundCheckReport("empirical-bohr-sum", (0, max_degree), 0.0, True)
     for i in range(count):
-        f = random_test_function(rng, max_degree)
-        coeffs = fourier_expand(f, max_degree, rule)
-        value = empirical_bohr_sum(coeffs, r)
+        value = empirical_bohr_sum(random_test_function(rng, max_degree), r)
         report.samples += 1
         _track(report, value, {"function": i})
     report.passed = report.max_ratio < 1.0

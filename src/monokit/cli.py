@@ -20,9 +20,7 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import bohr as bohr_mod
@@ -36,6 +34,10 @@ from .quaternion import frac_str
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
+
+# largest polynomial degree `fourier` accepts, in its input and --max-degree;
+# the degree sizes the basis and the quadrature rule (about 4 s at 16)
+MAX_INPUT_DEGREE = 16
 
 
 class ConfigError(Exception):
@@ -128,8 +130,6 @@ def cmd_basis(args) -> int:
 def cmd_check(args) -> int:
     if args.max_degree < 0:
         raise ConfigError("--max-degree must be >= 0")
-    if args.tolerance <= 0:
-        raise ConfigError("--tolerance must be > 0")
     run_gram = args.gram or not args.bounds
     bounds = args.bounds or (["corollary", "pointwise", "sc", "constants"]
                              if not args.gram else [])
@@ -185,12 +185,14 @@ def cmd_fourier(args) -> int:
         raise ConfigError(f"input file not found: {path}")
     try:
         poly = MPoly.from_json(path.read_text())
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ConfigError(f"cannot parse polynomial: {exc}") from exc
     degree = max(poly.degree(), 0)
+    if degree > MAX_INPUT_DEGREE:
+        raise ConfigError(f"input degree {degree} exceeds {MAX_INPUT_DEGREE}")
     max_degree = args.max_degree if args.max_degree is not None else degree
-    if max_degree < 0:
-        raise ConfigError("--max-degree must be >= 0")
+    if not 0 <= max_degree <= MAX_INPUT_DEGREE:
+        raise ConfigError(f"--max-degree must be in 0..{MAX_INPUT_DEGREE}")
     rule = QuadratureRule.for_degree(degree + max_degree + 2)
     coeffs = fourier_expand(poly, max_degree, rule)
     emit({"schema": report_mod.SCHEMA, "command": "fourier",
@@ -221,8 +223,8 @@ def cmd_bohr(args) -> int:
 def cmd_report(args) -> int:
     if args.max_degree < 0:
         raise ConfigError("--max-degree must be >= 0")
-    if args.tolerance <= 0:
-        raise ConfigError("--tolerance must be > 0")
+    if args.samples < 1 or args.functions < 1:
+        raise ConfigError("--samples and --functions must be >= 1")
     if args.golden_dir:
         golden = Path(args.golden_dir)
         golden.mkdir(parents=True, exist_ok=True)
@@ -314,6 +316,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # options every subcommand shares; NaN fails the tolerance test too
+        if args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
+        if not args.tolerance > 0:
+            raise ConfigError("--tolerance must be > 0")
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,9 @@ recovered exactly from its n+1 Taylor coefficients
     c_gamma = (1/(g1! g2!)) d^g1/dx1 d^g2/dx2 f at 0,
     f = sum_gamma V_gamma c_gamma   (coefficients on the right).
 
+Those derivatives leave only the monomial x1^g1 x2^g2 of f, so c_gamma
+is read off as its coefficient.
+
 closed_form_taylor evaluates the printed parity-gated coefficient formulas
 for the X family; like the axial expansion in the basis module they depend
 on the ambiguous beta coefficient and are diff material, not a source of
@@ -93,17 +96,9 @@ def taylor_coefficients(f: MPoly) -> TaylorCoeffs:
     if not f.is_homogeneous():
         raise ValueError("input must be homogeneous")
     n = max(f.degree(), 0)
-    origin = (Fraction(0), Fraction(0), Fraction(0))
-    out = {}
-    for g1 in range(n + 1):
-        g2 = n - g1
-        d = f
-        for _ in range(g1):
-            d = d.partial(1)
-        for _ in range(g2):
-            d = d.partial(2)
-        out[(g1, g2)] = d.evaluate(origin) / (math.factorial(g1) * math.factorial(g2))
-    return TaylorCoeffs(n, out)
+    # (1/(g1! g2!)) d^g1/dx1 d^g2/dx2 f at 0 is the coefficient of x1^g1 x2^g2
+    return TaylorCoeffs(n, {(g1, n - g1): f.coefficient((0, g1, n - g1))
+                            for g1 in range(n + 1)})
 
 
 def taylor_reconstruct(tc: TaylorCoeffs) -> MPoly:

@@ -16,8 +16,8 @@ Every float inner product between basis elements reads one memoized
 sample array (basis_samples) and reduces it over the nodes with a single
 np.einsum, without BLAS, so repeated runs produce byte-identical results.
 Synthesis folds each degree block into one coefficient per monomial
-(block_values: one einsum with block_table) and evaluates that single
-polynomial with mpoly.eval_terms, never an array with an element axis.
+(block_terms: one einsum with block_table); mpoly.eval_terms evaluates one
+block or the whole series as one polynomial, never an array with an element axis.
 """
 
 from __future__ import annotations
@@ -243,18 +243,23 @@ def block_table(n: int) -> tuple[tuple[Exponent, ...], np.ndarray]:
     return exps, table
 
 
-def block_values(n: int, alphas, x0, x1, x2) -> np.ndarray:
-    """Block n of the series, alphas in degree_indices(n) order, at points; grid+(4,)."""
+def block_terms(n: int, alphas):
+    """Block n of the series, alphas in degree_indices(n) order, as (exponent, 4 floats) terms."""
     exps, table = block_table(n)
     scale = np.asarray(alphas, dtype=float) * math.sqrt(2 * n + 3)
     scale = scale / sphere_norms(basis_for_degree(n))
-    return eval_terms(zip(exps, np.einsum("i,imc->mc", scale, table)), x0, x1, x2)
+    return zip(exps, np.einsum("i,imc->mc", scale, table))
+
+
+def block_values(n: int, alphas, x0, x1, x2) -> np.ndarray:
+    """Block n of the series at points; grid+(4,)."""
+    return eval_terms(block_terms(n, alphas), x0, x1, x2)
 
 
 def fourier_synthesize(coeffs: FourierCoeffs, x0, x1, x2) -> np.ndarray:
-    """Evaluate the truncated series at Cartesian points; returns grid+(4,)."""
-    return sum(block_values(n, coeffs.block(n), x0, x1, x2)
-               for n in range(coeffs.max_degree + 1))
+    """Evaluate the truncated series at Cartesian points as one polynomial; grid+(4,)."""
+    terms = [t for n in range(coeffs.max_degree + 1) for t in block_terms(n, coeffs.block(n))]
+    return eval_terms(terms, x0, x1, x2)
 
 
 def gram_matrix_ball(max_degree: int, rule: QuadratureRule | None = None) -> np.ndarray:

@@ -162,8 +162,8 @@ class Quaternion:
 
     @classmethod
     def from_strings(cls, items) -> Quaternion:
-        if len(items) != 4:
-            raise ValueError(f"need 4 components, got {len(items)}")
+        if not isinstance(items, list) or len(items) != 4:
+            raise ValueError("need a list of 4 components")
         return cls(*[parse_frac_str(s) for s in items])
 
 

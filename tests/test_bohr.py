@@ -14,7 +14,7 @@ from monokit.bohr import (bohr_radius, coefficient_domination, empirical_bohr_su
                           series_s2_truncated, verify_constants_ratio_lemma,
                           verify_corollary_bounds, verify_pointwise_bounds,
                           verify_sc_ratio_lemmas)
-from monokit.quadrature import QuadratureRule, fourier_expand
+from monokit.quadrature import QuadratureRule, fourier_expand, fourier_synthesize
 
 R1 = 0.049583846938703394
 R2 = 0.5695633074465153
@@ -132,10 +132,7 @@ def test_random_function_hypotheses():
     s = np.sin(theta)
     x1, x2 = s * np.cos(phi), s * np.sin(phi)
     for _ in range(5):
-        f = random_test_function(rng)
-        assert f.is_reduced()
-        assert f.dirac().is_zero()
-        values = f.eval_grid(x0, x1, x2)
+        values = fourier_synthesize(random_test_function(rng), x0, x1, x2)
         assert float(np.sqrt((values ** 2).sum(axis=-1)).max()) < 1.0
         assert float(values[..., 0].min()) > 0.0
 
@@ -149,9 +146,40 @@ def test_empirical_sum_for_constant():
         assert empirical_bohr_sum(coeffs, r) == pytest.approx(0.75, abs=1e-12)
 
 
+def test_random_function_is_the_exact_combination_it_draws():
+    # in-test reference: the same draws combined as an exact polynomial,
+    # rescaled by its own grid sup and expanded by quadrature
+    from fractions import Fraction
+    from monokit.basis import basis_elements
+    from monokit.bohr import _sphere_grid
+    from monokit.mpoly import MPoly
+    for seed in range(4):
+        coeffs = random_test_function(np.random.default_rng(seed), max_degree=3)
+        rng = np.random.default_rng(seed)
+        constant = Fraction(int(rng.integers(4, 13)), 16)
+        combo = MPoly.zero()
+        for e in basis_elements(3):
+            combo = combo + Fraction(int(rng.integers(-9, 10)), 8) * e.poly
+        values = combo.eval_grid(*_sphere_grid(121, 240))
+        sup = float(np.sqrt((values ** 2).sum(axis=-1)).max())
+        scale = min(constant, 1 - constant) * Fraction(3, 4) / Fraction(
+            math.ceil(sup * 2.0 * 1024), 1024)
+        f = MPoly.scalar(constant) + scale * combo
+        reference = fourier_expand(f, 3, QuadratureRule.for_degree(6))
+        assert coeffs.max_degree == 3
+        assert set(coeffs.values) == set(reference.values)
+        for key, value in reference.values.items():
+            assert coeffs.values[key] == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
+def test_empirical_sweep_draws_the_pinned_functions():
+    report = empirical_bohr_sweep(20, seed=0)
+    assert report.max_ratio == pytest.approx(0.7500024580302959, rel=1e-12)
+    assert report.worst_case == {"function": 14}
+
+
 def test_empirical_sum_matches_per_element_reference():
-    f = random_test_function(np.random.default_rng(3), max_degree=5)
-    coeffs = fourier_expand(f, 5, QuadratureRule.for_degree(12))
+    coeffs = random_test_function(np.random.default_rng(3), max_degree=5)
     assert all(any(abs(c) > 1e-6 for c in coeffs.block(n)) for n in range(6))
     theta = np.linspace(0.0, math.pi, 65)[:, None]
     phi = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)[None, :]
@@ -175,8 +203,6 @@ def test_empirical_sweep_small():
 
 
 def test_empirical_sum_rejects_bad_radius():
-    rng = np.random.default_rng(1)
-    f = random_test_function(rng, max_degree=2)
-    coeffs = fourier_expand(f, 2, QuadratureRule.for_degree(6))
+    coeffs = random_test_function(np.random.default_rng(1), max_degree=2)
     with pytest.raises(ValueError):
         empirical_bohr_sum(coeffs, 1.0)

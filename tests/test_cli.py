@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import monokit
-from monokit.cli import main
+from monokit.cli import MAX_INPUT_DEGREE, main
 from monokit.mpoly import MPoly
 from monokit.report import SECTIONS
 
@@ -95,8 +95,9 @@ _TERM = {"e": [1, 0, 0], "c": ["1/2", "0/1", "0/1", "0/1"]}
     [{"e": [0, 0, 0], "c": ["0.5", "0/1", "0/1", "0/1"]}],
     [_TERM, {"e": [1, 0, 0], "c": ["1/3", "0/1", "0/1", "0/1"]}],
     [{"e": [True, 0, 0], "c": _TERM["c"]}],
+    [{"e": [0, 0, 0], "c": {"1/2": 0, "1/3": 0, "1/4": 0, "1/5": 0}}],
 ], ids=["zero-denominator", "float-exponent", "negative-exponent", "decimal-component",
-        "duplicate-exponent", "bool-exponent"])
+        "duplicate-exponent", "bool-exponent", "object-components"])
 def test_fourier_rejects_malformed_input(capsys, tmp_path, terms):
     path = tmp_path / "poly.json"
     path.write_text(json.dumps({"terms": terms}))
@@ -105,6 +106,47 @@ def test_fourier_rejects_malformed_input(capsys, tmp_path, terms):
     assert out == ""
     assert err.startswith("error: cannot parse polynomial")
     assert "Traceback" not in err
+
+
+def _monomial(degree: int) -> str:
+    return json.dumps({"terms": [{"e": [0, 0, degree], "c": _TERM["c"]}]})
+
+
+@pytest.mark.parametrize("argv, input_text", [
+    (["report", "--samples", "0"], None),
+    (["report", "--samples", "-3"], None),
+    (["report", "--functions", "0"], None),
+    (["report", "--functions", "-2"], None),
+    (["report", "--seed", "-1"], None),
+    (["check", "--seed", "-1"], None),
+    (["bohr", "--tolerance", "0"], None),
+    (["bohr", "--tolerance", "nan"], None),
+    (["check", "--tolerance", "0"], None),
+    (["fourier"], "[" * 100_000),
+    (["fourier"], _monomial(MAX_INPUT_DEGREE + 1)),
+    (["fourier", "--max-degree", str(MAX_INPUT_DEGREE + 1)], _monomial(1)),
+], ids=["samples-0", "samples-negative", "functions-0", "functions-negative",
+        "report-seed-negative", "check-seed-negative", "bohr-tolerance-0",
+        "bohr-tolerance-nan", "check-tolerance-0", "deeply-nested-json",
+        "input-degree-over-cap", "max-degree-over-cap"])
+def test_malformed_input_exits_two(capsys, tmp_path, argv, input_text):
+    if input_text is not None:
+        path = tmp_path / "poly.json"
+        path.write_text(input_text)
+        argv = argv + ["--input", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_fourier_accepts_the_degree_cap(capsys, tmp_path):
+    path = tmp_path / "poly.json"
+    path.write_text(_monomial(MAX_INPUT_DEGREE))
+    code, out, _ = run(capsys, "fourier", "--input", str(path), "--max-degree", "0")
+    assert code == 0
+    assert json.loads(out)["input_degree"] == MAX_INPUT_DEGREE
 
 
 def test_fourier_missing_input(capsys, tmp_path):

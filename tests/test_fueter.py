@@ -61,6 +61,32 @@ def test_taylor_round_trip_exact():
             assert taylor_reconstruct(tc) == e.poly
 
 
+def repeated_partials(f: MPoly) -> dict:
+    """(1/(g1! g2!)) d^g1/dx1 d^g2/dx2 f at 0, differentiated literally."""
+    n = max(f.degree(), 0)
+    out = {}
+    for g1 in range(n + 1):
+        d = f
+        for i in [1] * g1 + [2] * (n - g1):
+            d = d.partial(i)
+        out[(g1, n - g1)] = (d.evaluate((Fraction(0),) * 3)
+                             / (math.factorial(g1) * math.factorial(n - g1)))
+    return out
+
+
+def test_taylor_read_matches_repeated_partials():
+    for n in range(7):
+        for e in basis_for_degree(n):
+            assert dict(taylor_coefficients(e.poly).items()) == repeated_partials(e.poly)
+    # not monogenic, with x0 terms that the read must skip
+    f = (X0 * X0 * X1 * Quaternion(1, 2, 0, 3) + X1 * X2 * X2 * E1
+         - Fraction(5, 3) * (X1 * X1 * X1) + X0 * X2 * X2 * E2)
+    assert not f.dirac().is_zero()
+    tc = taylor_coefficients(f)
+    assert dict(tc.items()) == repeated_partials(f)
+    assert tc[(3, 0)] == Quaternion(Fraction(-5, 3)) and tc[(0, 3)] == 0
+
+
 def test_taylor_rejects_mixed_degrees():
     with pytest.raises(ValueError):
         taylor_coefficients(X0 + X0 * X0)
