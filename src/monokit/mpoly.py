@@ -15,6 +15,10 @@ left:
 A polynomial is (left) monogenic when dirac(f) == 0.  dirac(dirac_bar(f))
 is the Laplacian in the three variables.
 
+Float evaluation has one path, eval_terms, at points given as (x0, rho,
+phi) with x1 = rho cos phi and x2 = rho sin phi; sphere grids stay
+factored that way, and eval_grid converts Cartesian points once.
+
 Example
 -------
 >>> z1 = MPoly.variable(1) - MPoly.scalar(E1) * MPoly.variable(0)
@@ -235,9 +239,13 @@ class MPoly:
             total = total + coeff * (x0 ** exp[0] * x1 ** exp[1] * x2 ** exp[2])
         return total
 
+    def float_terms(self) -> list[tuple[Exponent, tuple[float, ...]]]:
+        """Sorted (exponent, 4 floats) terms, the input of eval_terms."""
+        return [(e, c.to_floats()) for e, c in self.sorted_terms()]
+
     def eval_grid(self, x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Float evaluation on broadcastable arrays; components on a last axis of 4."""
-        return eval_terms(((e, c.to_floats()) for e, c in self.sorted_terms()), x0, x1, x2)
+        """Float evaluation at Cartesian points (broadcastable arrays); grid+(4,)."""
+        return eval_terms(self.float_terms(), x0, np.hypot(x1, x2), np.arctan2(x2, x1))
 
     # -- serialization ----------------------------------------------------------
 
@@ -266,18 +274,43 @@ class MPoly:
         return cls.from_json_dict(json.loads(text))
 
 
-def eval_terms(terms, x0, x1, x2) -> np.ndarray:
-    """The one float evaluator: (exponent, 4 floats) terms summed in order; grid+(4,)."""
-    x0, x1, x2 = np.broadcast_arrays(np.asarray(x0, dtype=float),
-                                     np.asarray(x1, dtype=float),
-                                     np.asarray(x2, dtype=float))
-    out = np.zeros(x0.shape + (4,))
-    for exp, comps in terms:
-        mono = x0 ** exp[0] * x1 ** exp[1] * x2 ** exp[2]
-        for i in range(4):
-            if comps[i]:
-                out[..., i] += comps[i] * mono
-    return out
+def _powers(v: np.ndarray, top: int) -> np.ndarray:
+    """v^0 .. v^top by repeated multiplication, stacked on a new first axis."""
+    table = np.empty((top + 1,) + v.shape)
+    table[0] = 1.0
+    for k in range(1, top + 1):
+        np.multiply(table[k - 1], v, out=table[k])
+    return table
+
+
+def eval_terms(terms, x0, rho, phi) -> np.ndarray:
+    """The one float evaluator: (exponent, 4 floats) terms at x1 = rho cos phi, x2 = rho sin phi.
+
+    Terms are grouped by their (x1, x2) exponents (b, c).  Per component, a
+    group sums its comps * x0^a on the shape of (x0, rho) and meets
+    rho^(b+c) cos^b sin^c once, so a tensor sphere grid given as columns
+    x0, rho and a row phi costs no per-term work at every node.  Groups run
+    in sorted order, one at a time, terms in sorted order within; zero
+    components are skipped.  Returns the broadcast shape + (4,).
+    """
+    x0, rho = np.broadcast_arrays(np.asarray(x0, dtype=float), np.asarray(rho, dtype=float))
+    phi = np.asarray(phi, dtype=float)
+    out = np.zeros((4,) + np.broadcast_shapes(x0.shape, phi.shape))
+    groups: dict[tuple[int, int], list] = {}
+    for exp, comps in sorted(terms, key=lambda term: term[0]):
+        groups.setdefault((exp[1], exp[2]), []).append((exp[0], comps))
+    if groups:
+        x0_pow = _powers(x0, max(a for group in groups.values() for a, _ in group))
+        rho_pow = _powers(rho, max(b + c for b, c in groups))
+        cos_pow = _powers(np.cos(phi), max(b for b, _ in groups))
+        sin_pow = _powers(np.sin(phi), max(c for _, c in groups))
+    for (b, c), group in sorted(groups.items()):
+        angular = rho_pow[b + c] * cos_pow[b] * sin_pow[c]
+        for k in range(4):
+            parts = [comps[k] * x0_pow[a] for a, comps in group if comps[k]]
+            if parts:
+                out[k] += sum(parts) * angular
+    return np.moveaxis(out, 0, -1)
 
 
 X0 = MPoly.variable(0)

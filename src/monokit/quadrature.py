@@ -18,6 +18,7 @@ np.einsum, without BLAS, so repeated runs produce byte-identical results.
 Synthesis folds each degree block into one coefficient per monomial
 (block_terms: one einsum with block_table); mpoly.eval_terms evaluates one
 block or the whole series as one polynomial, never an array with an element axis.
+The rule grid stays factored for it: t and sqrt(1 - t^2) columns, a phi row.
 """
 
 from __future__ import annotations
@@ -33,9 +34,12 @@ from .mpoly import Exponent, MPoly, eval_terms
 from .quaternion import E1, E2, E3, ONE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes/weights for the sphere; weights sum to 4*pi."""
+    """Nodes/weights for the sphere; weights sum to 4*pi.
+
+    for_degree shares one read-only rule per degree, so equal rules are identical.
+    """
 
     t_nodes: np.ndarray
     t_weights: np.ndarray
@@ -43,30 +47,21 @@ class QuadratureRule:
     exactness_degree: int
 
     @classmethod
-    def for_degree(cls, max_degree: int) -> QuadratureRule:
+    @lru_cache(maxsize=None)
+    def for_degree(cls, max_degree: int, /) -> QuadratureRule:
         if max_degree < 0:
             raise ValueError(f"max_degree must be >= 0, got {max_degree}")
         n_t = max((max_degree + 1 + 1) // 2, 1)
         n_phi = max(max_degree + 1, 1)
         nodes, weights = np.polynomial.legendre.leggauss(n_t)
+        nodes.flags.writeable = weights.flags.writeable = False
         return cls(nodes, weights, n_phi, max_degree)
 
-    @property
-    def phi_nodes(self) -> np.ndarray:
-        return 2.0 * np.pi * (np.arange(self.n_phi) + 0.5) / self.n_phi
-
     def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cartesian sphere points, shape (n_t, n_phi) each."""
+        """The node grid as eval_terms takes it: x0 = t and rho as (n_t, 1), phi as (1, n_phi)."""
         t = self.t_nodes[:, None]
-        s = np.sqrt(1.0 - t * t)
-        phi = self.phi_nodes[None, :]
-        return np.broadcast_arrays(t * np.ones_like(phi), s * np.cos(phi), s * np.sin(phi))
-
-    def integrate(self, values: np.ndarray) -> np.ndarray:
-        """Integrate grid samples over the sphere; leading axes (n_t, n_phi)."""
-        values = np.asarray(values)
-        phi_summed = values.sum(axis=1) * (2.0 * np.pi / self.n_phi)
-        return np.tensordot(self.t_weights, phi_summed, axes=(0, 0))
+        phi = 2.0 * np.pi * (np.arange(self.n_phi) + 0.5) / self.n_phi
+        return t, np.sqrt(1.0 - t * t), phi[None, :]
 
     def node_weights(self) -> np.ndarray:
         """Weight of each grid node, shape (n_t, n_phi)."""
@@ -74,34 +69,6 @@ class QuadratureRule:
 
     def weight_total(self) -> float:
         return float(self.t_weights.sum() * 2.0 * np.pi)
-
-    # equal rules (same nodes and weights) share memoized samples
-    def _key(self) -> tuple:
-        return (self.t_nodes.tobytes(), self.t_weights.tobytes(), self.n_phi,
-                self.exactness_degree)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QuadratureRule) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-
-def _require_exactness(rule: QuadratureRule, needed: int):
-    if rule.exactness_degree < needed:
-        raise ValueError(f"rule exact to degree {rule.exactness_degree}, need {needed}")
-
-
-def conj_product_grid(fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
-    """conj(f) * g from component samples, componentwise on the grid."""
-    fa, fb, fc, fd = (fv[..., i] for i in range(4))
-    ga, gb, gc, gd = (gv[..., i] for i in range(4))
-    return np.stack([
-        fa * ga + fb * gb + fc * gc + fd * gd,
-        fa * gb - fb * ga - fc * gd + fd * gc,
-        fa * gc + fb * gd - fc * ga - fd * gb,
-        fa * gd - fb * gc + fc * gb - fd * ga,
-    ], axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -112,19 +79,24 @@ def radial_moment(power: int) -> float:
     return float(np.dot(weights, 0.5 * r ** power))
 
 
+# _CONJ_TABLE[a, b] holds the components of conj(u_a) u_b for the units u
+_UNITS = (ONE, E1, E2, E3)
+_CONJ_TABLE = np.array([[(p.conjugate() * q).to_floats() for q in _UNITS] for p in _UNITS])
+
+
 def inner_product_S(f: MPoly, g: MPoly, rule: QuadratureRule) -> np.ndarray:
     """Quaternion-valued integral of conj(f) g over S, as a 4-vector."""
-    _require_exactness(rule, max(f.degree(), 0) + max(g.degree(), 0))
+    needed = max(f.degree(), 0) + max(g.degree(), 0)
+    if rule.exactness_degree < needed:
+        raise ValueError(f"rule exact to degree {rule.exactness_degree}, need {needed}")
     grid = rule.grid()
-    return rule.integrate(conj_product_grid(f.eval_grid(*grid), g.eval_grid(*grid)))
+    fv, gv = eval_terms(f.float_terms(), *grid), eval_terms(g.float_terms(), *grid)
+    return np.einsum("tpa,tpb,abk,tp->k", fv, gv, _CONJ_TABLE, rule.node_weights())
 
 
 def sc_inner_product_S(f: MPoly, g: MPoly, rule: QuadratureRule) -> float:
     """The real inner product: integral of Sc(conj(f) g) over S."""
-    _require_exactness(rule, max(f.degree(), 0) + max(g.degree(), 0))
-    grid = rule.grid()
-    fv, gv = f.eval_grid(*grid), g.eval_grid(*grid)
-    return float(rule.integrate((fv * gv).sum(axis=-1)))
+    return float(inner_product_S(f, g, rule)[0])
 
 
 def inner_product_B(f: MPoly, g: MPoly, rule: QuadratureRule) -> np.ndarray:
@@ -176,7 +148,8 @@ def basis_samples(rule: QuadratureRule, max_degree: int) -> np.ndarray:
     each) and shared by every caller, so it is read-only.
     """
     grid = rule.grid()
-    samples = np.stack([e.poly.eval_grid(*grid) for e in basis_elements(max_degree)])
+    samples = np.stack([eval_terms(e.poly.float_terms(), *grid)
+                        for e in basis_elements(max_degree)])
     samples.flags.writeable = False
     return samples
 
@@ -190,11 +163,6 @@ def radial_pairs(degrees: np.ndarray) -> np.ndarray:
     """radial_moment(n + k + 2) for every pair of element degrees, shape (E, E)."""
     table = np.array([radial_moment(k + 2) for k in range(2 * degrees.max() + 1)])
     return table[degrees[:, None] + degrees[None, :]]
-
-
-# _CONJ_TABLE[a, b] holds the components of conj(u_a) u_b for the units u
-_UNITS = (ONE, E1, E2, E3)
-_CONJ_TABLE = np.array([[(p.conjugate() * q).to_floats() for q in _UNITS] for p in _UNITS])
 
 
 def quaternion_sphere_gram(samples: np.ndarray, rule: QuadratureRule) -> np.ndarray:
@@ -221,7 +189,7 @@ def fourier_expand(f: MPoly, max_degree: int, rule: QuadratureRule) -> FourierCo
     """
     elements = basis_elements(max_degree)
     raw = np.einsum("itpc,tpc,tp->i", basis_samples(rule, max_degree),
-                    f.eval_grid(*rule.grid()), rule.node_weights())
+                    eval_terms(f.float_terms(), *rule.grid()), rule.node_weights())
     degrees = np.array([e.index.n for e in elements])
     values = raw / sphere_norms(elements) / np.sqrt(2 * degrees + 3)
     return FourierCoeffs(max_degree, {(e.index.n, e.index.label): float(v)
@@ -251,18 +219,13 @@ def block_terms(n: int, alphas):
     return zip(exps, np.einsum("i,imc->mc", scale, table))
 
 
-def block_values(n: int, alphas, x0, x1, x2) -> np.ndarray:
-    """Block n of the series at points; grid+(4,)."""
-    return eval_terms(block_terms(n, alphas), x0, x1, x2)
-
-
-def fourier_synthesize(coeffs: FourierCoeffs, x0, x1, x2) -> np.ndarray:
-    """Evaluate the truncated series at Cartesian points as one polynomial; grid+(4,)."""
+def fourier_synthesize(coeffs: FourierCoeffs, x0, rho, phi) -> np.ndarray:
+    """Evaluate the truncated series as one polynomial at (x0, rho, phi), as eval_terms; grid+(4,)."""
     terms = [t for n in range(coeffs.max_degree + 1) for t in block_terms(n, coeffs.block(n))]
-    return eval_terms(terms, x0, x1, x2)
+    return eval_terms(terms, x0, rho, phi)
 
 
-def gram_matrix_ball(max_degree: int, rule: QuadratureRule | None = None) -> np.ndarray:
+def gram_matrix_ball(max_degree: int) -> np.ndarray:
     """Real-inner-product Gram of the full orthonormal system, degrees <= max_degree.
 
     Entry order is degree-major with the canonical within-degree ordering;
@@ -270,8 +233,7 @@ def gram_matrix_ball(max_degree: int, rule: QuadratureRule | None = None) -> np.
     ball integral is the sphere integral times the radial moment of
     r^(n+k+2), normalized by sqrt(2n+3)/norm_S on each side.
     """
-    if rule is None:
-        rule = QuadratureRule.for_degree(2 * max_degree)
+    rule = QuadratureRule.for_degree(2 * max_degree)
     samples = basis_samples(rule, max_degree)
     sphere = np.einsum("itpc,jtpc,tp->ij", samples, samples, rule.node_weights())
     elements = basis_elements(max_degree)
@@ -280,15 +242,14 @@ def gram_matrix_ball(max_degree: int, rule: QuadratureRule | None = None) -> np.
     return sphere * radial_pairs(degrees) * np.outer(scale, scale)
 
 
-def gram_matrix_quaternion(n: int, rule: QuadratureRule | None = None) -> np.ndarray:
+def gram_matrix_quaternion(n: int) -> np.ndarray:
     """Quaternion-valued sphere Gram of one degree block, shape (s, s, 4).
 
     This one is not diagonal: the system is orthonormal for the real inner
     product, while the quaternion-valued products keep nonzero vector
     parts.  Reported for inspection, never asserted diagonal.
     """
-    if rule is None:
-        rule = QuadratureRule.for_degree(2 * n)
+    rule = QuadratureRule.for_degree(2 * n)
     block = basis_samples(rule, n)[-(2 * n + 3):]  # the degree-n elements come last
     norms = sphere_norms(basis_for_degree(n))
     return quaternion_sphere_gram(block, rule) / np.outer(norms, norms)[..., None]

@@ -100,6 +100,19 @@ def test_coefficient_domination_validation():
         coefficient_domination(1, "X", 3, 0.0, 0.5)
 
 
+def test_witness_is_the_earliest_case_near_the_maximum():
+    from monokit.bohr import BoundCheckReport, _track
+    report = BoundCheckReport("ties", (0, 1), 0.0, True)
+    _track(report, 0.5, {"i": 0})
+    _track(report, 1.0, {"i": 1})
+    _track(report, float(np.nextafter(1.0, 2.0)), {"i": 2})  # one ulp above
+    assert report.max_ratio == float(np.nextafter(1.0, 2.0))
+    assert report.worst_case == {"i": 1}
+    assert report.tight_cases == [{"i": 1}, {"i": 2}]
+    _track(report, 1.5, {"i": 3})
+    assert report.worst_case == {"i": 3}
+
+
 def test_corollary_bounds_sweep():
     report = verify_corollary_bounds(5)
     assert report.passed
@@ -128,11 +141,8 @@ def test_random_function_hypotheses():
     rng = np.random.default_rng(12)
     theta = np.linspace(0.0, math.pi, 361)[:, None]
     phi = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)[None, :]
-    x0 = np.cos(theta) * np.ones_like(phi)
-    s = np.sin(theta)
-    x1, x2 = s * np.cos(phi), s * np.sin(phi)
     for _ in range(5):
-        values = fourier_synthesize(random_test_function(rng), x0, x1, x2)
+        values = fourier_synthesize(random_test_function(rng), np.cos(theta), np.sin(theta), phi)
         assert float(np.sqrt((values ** 2).sum(axis=-1)).max()) < 1.0
         assert float(values[..., 0].min()) > 0.0
 
@@ -152,7 +162,7 @@ def test_random_function_is_the_exact_combination_it_draws():
     from fractions import Fraction
     from monokit.basis import basis_elements
     from monokit.bohr import _sphere_grid
-    from monokit.mpoly import MPoly
+    from monokit.mpoly import MPoly, eval_terms
     for seed in range(4):
         coeffs = random_test_function(np.random.default_rng(seed), max_degree=3)
         rng = np.random.default_rng(seed)
@@ -160,7 +170,7 @@ def test_random_function_is_the_exact_combination_it_draws():
         combo = MPoly.zero()
         for e in basis_elements(3):
             combo = combo + Fraction(int(rng.integers(-9, 10)), 8) * e.poly
-        values = combo.eval_grid(*_sphere_grid(121, 240))
+        values = eval_terms(combo.float_terms(), *_sphere_grid(121, 240))
         sup = float(np.sqrt((values ** 2).sum(axis=-1)).max())
         scale = min(constant, 1 - constant) * Fraction(3, 4) / Fraction(
             math.ceil(sup * 2.0 * 1024), 1024)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from monokit.mpoly import MPoly, X0, X1, X2, Z1, Z2, point
+from monokit.mpoly import MPoly, X0, X1, X2, Z1, Z2, eval_terms, point
 from monokit.quaternion import E1, E2, Quaternion
 
 
@@ -64,6 +64,61 @@ def test_eval_grid_matches_evaluate():
                        np.array([float(xs[2])]))
     exact = p.evaluate(xs)
     assert np.allclose(grid[0], [float(c) for c in exact.components()], atol=1e-15)
+
+
+def _per_term_reference(terms, x0, x1, x2, monomials=None):
+    # reference: the plain per-term evaluator, three float powers per term at
+    # every point; monomials may keep them across calls on the same points
+    x0, x1, x2 = np.broadcast_arrays(x0, x1, x2)
+    monomials = {} if monomials is None else monomials
+    out = np.zeros(x0.shape + (4,))
+    for exp, comps in terms:
+        if exp not in monomials:
+            monomials[exp] = x0 ** exp[0] * x1 ** exp[1] * x2 ** exp[2]
+        mono = monomials[exp]
+        for i in range(4):
+            out[..., i] += comps[i] * mono
+    return out
+
+
+def _factored_grids():
+    from monokit.bohr import _sphere_grid
+    from monokit.quadrature import QuadratureRule
+    return [QuadratureRule.for_degree(16).grid(), _sphere_grid(121, 240), _sphere_grid(65, 128)]
+
+
+def test_eval_terms_matches_per_term_reference_on_sphere_grids():
+    from monokit.basis import basis_elements
+    for x0, rho, phi in _factored_grids():
+        x1, x2 = rho * np.cos(phi), rho * np.sin(phi)
+        monomials = {}
+        for element in basis_elements(8):
+            terms = element.poly.float_terms()
+            got = eval_terms(terms, x0, rho, phi)
+            want = _per_term_reference(terms, x0, x1, x2, monomials)
+            assert got.shape == want.shape == np.broadcast(x0, phi).shape + (4,)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_eval_grid_at_scattered_points_matches_per_term_reference():
+    from monokit.basis import basis_elements
+    rng = np.random.default_rng(5)
+    cloud = rng.normal(size=(200, 3))
+    cloud *= rng.random((200, 1)) ** (1 / 3) / np.linalg.norm(cloud, axis=1, keepdims=True)
+    special = [(0, 0, 0), (0.5, 0, 0), (-0.7, 0, 0), (1, 0, 0), (-1, 0, 0),
+               (-0.3, 0.4, -0.5), (-0.6, -0.8, 0), (0, -1, 0), (0, 0, -1)]
+    x0, x1, x2 = np.concatenate([np.array(special, dtype=float), cloud]).T
+    for element in basis_elements(8):
+        got = element.poly.eval_grid(x0, x1, x2)
+        want = _per_term_reference(element.poly.float_terms(), x0, x1, x2)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.all(np.abs(got[0]) == np.abs(want[0]))  # the origin: only the constant
+
+
+def test_eval_terms_of_no_terms_is_zero():
+    values = eval_terms([], np.ones((3, 1)), np.ones((3, 1)), np.zeros((1, 5)))
+    assert values.shape == (3, 5, 4)
+    assert not values.any()
 
 
 def test_json_round_trip_is_stable():

@@ -23,10 +23,11 @@ def test_weight_total_is_sphere_area():
 
 def test_monomial_moments_are_exact():
     rule = QuadratureRule.for_degree(12)
-    x0, x1, x2 = rule.grid()
+    x0, rho, phi = rule.grid()
+    x0, x1, x2 = np.broadcast_arrays(x0, rho * np.cos(phi), rho * np.sin(phi))
     for a, b, c in ((0, 0, 0), (2, 0, 0), (1, 1, 0), (4, 2, 0), (2, 2, 2),
                     (3, 1, 2), (0, 6, 4), (5, 5, 0)):
-        value = float(rule.integrate(x0 ** a * x1 ** b * x2 ** c))
+        value = float(np.einsum("tp,tp->", x0 ** a * x1 ** b * x2 ** c, rule.node_weights()))
         exact = float(sphere_moment(a, b, c)) * math.pi
         assert abs(value - exact) < 1e-12 * max(1.0, abs(exact))
 
@@ -112,6 +113,24 @@ def test_basis_samples_are_shared_and_read_only():
         table[0, 0, 0] = 1.0
 
 
+def test_one_read_only_rule_per_degree():
+    rule = QuadratureRule.for_degree(6)
+    assert QuadratureRule.for_degree(6) is rule
+    assert QuadratureRule.for_degree(8) is not rule
+    with pytest.raises(TypeError):  # a keyword would key a second cache entry
+        QuadratureRule.for_degree(max_degree=6)
+    for nodes in (rule.t_nodes, rule.t_weights):
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+
+
+def test_rule_grid_is_factored():
+    rule = QuadratureRule.for_degree(6)
+    x0, rho, phi = rule.grid()
+    assert x0.shape == rho.shape == (4, 1) and phi.shape == (1, 7)
+    assert np.allclose(x0 ** 2 + rho ** 2, 1.0, atol=1e-15)
+
+
 def test_scalar_parts_are_orthogonal_on_sphere():
     rule = QuadratureRule.for_degree(12)
     pairs = [(n, m) for n in range(5) for m in range(n + 1)]
@@ -145,7 +164,7 @@ def test_fourier_round_trip():
     phi = np.linspace(0.0, 2.0 * math.pi, 37)[None, :]
     x0 = np.cos(theta) * np.ones_like(phi)
     s = np.sin(theta)
-    recon = fourier_synthesize(coeffs, x0, s * np.cos(phi), s * np.sin(phi))
+    recon = fourier_synthesize(coeffs, np.cos(theta), s, phi)
     direct = f.eval_grid(x0, s * np.cos(phi), s * np.sin(phi))
     assert float(np.max(np.abs(recon - direct))) < 1e-10
     # reference: one eval_grid per element, scaled to the orthonormal system
