@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .basis import beta_coefficient
-from .mpoly import MPoly, Z1, Z2
+from .mpoly import MPoly, Z1, Z2, sum_of_products
 from .quaternion import Quaternion
 
 
@@ -70,12 +70,10 @@ def fueter_power(g1: int, g2: int) -> FueterPower:
     n = g1 + g2
     if n == 0:
         return FueterPower((0, 0), MPoly.one())
-    poly = MPoly.zero()
-    if g1:
-        poly = poly + Fraction(g1, n) * (fueter_power(g1 - 1, g2).poly * Z1)
+    pairs = [(fueter_power(g1 - 1, g2).poly, Z1 * Fraction(g1, n))] if g1 else []
     if g2:
-        poly = poly + Fraction(g2, n) * (fueter_power(g1, g2 - 1).poly * Z2)
-    return FueterPower((g1, g2), poly)
+        pairs.append((fueter_power(g1, g2 - 1).poly, Z2 * Fraction(g2, n)))
+    return FueterPower((g1, g2), sum_of_products(pairs))
 
 
 def fueter_power_permutation_sum(g1: int, g2: int) -> MPoly:
@@ -102,11 +100,8 @@ def taylor_coefficients(f: MPoly) -> TaylorCoeffs:
 
 
 def taylor_reconstruct(tc: TaylorCoeffs) -> MPoly:
-    total = MPoly.zero()
-    for gamma, c in tc.coeffs.items():
-        if c:
-            total = total + fueter_power(*gamma).poly * c
-    return total
+    return sum_of_products([(fueter_power(*gamma).poly, MPoly.scalar(c))
+                            for gamma, c in tc.coeffs.items() if c])
 
 
 def fueter_power_bound_check(g1: int, g2: int, points) -> float:

@@ -17,20 +17,20 @@ factor 1/(n+3), term by term.
 
 inner_sphere and inner_ball share one kernel on Sc(conj(f) g) = sum_c f_c g_c:
 both polynomials are scaled to integer components by the lcm of their
-denominators, only terms of the same exponent parity pattern are paired
-(other moments vanish), and one division comes last.  inner_sphere_h and
-inner_ball_h integrate the quaternion product conj(f) g; they are the reference.
+denominators (mpoly.integer_terms), only terms of the same exponent parity
+pattern are paired (other moments vanish), and one division comes last.
+inner_sphere_h and inner_ball_h integrate the quaternion product conj(f) g;
+they are the reference.
 """
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 
 from .legendre import double_factorial
-from .mpoly import MPoly
+from .mpoly import MPoly, integer_terms
 from .quaternion import Quaternion
 
 
@@ -74,27 +74,18 @@ def inner_sphere_h(f: MPoly, g: MPoly) -> Quaternion:
     return sphere_integral(f.conjugate() * g)
 
 
-def _integer_terms(poly: MPoly) -> tuple[int, dict]:
-    """(lcm d of the denominators, parity pattern -> [(exponent, d * components)])."""
-    d = math.lcm(*(x.denominator for q in poly.terms.values() for x in q.components()))
-    groups = defaultdict(list)
-    for exp, q in poly.terms.items():
-        ints = [x.numerator * (d // x.denominator) for x in q.components()]
-        groups[(exp[0] % 2, exp[1] % 2, exp[2] % 2)].append((exp, ints))
-    return d, groups
-
-
 def _real_product(f: MPoly, g: MPoly, moment) -> Fraction:
     """sum_c integral f_c g_c, over pi: the scalar part of integral conj(f) g."""
-    df, f_groups = _integer_terms(f)
-    dg, g_groups = (df, f_groups) if g is f else _integer_terms(g)
+    df, f_terms = integer_terms(f)
+    dg, g_terms = (df, f_terms) if g is f else integer_terms(g)
+    g_groups = defaultdict(list)  # exponent parity pattern -> terms
+    for e2, ints in g_terms:
+        g_groups[(e2[0] % 2, e2[1] % 2, e2[2] % 2)].append((e2, ints))
     weights = defaultdict(int)
-    for parity, f_terms in f_groups.items():
-        g_terms = g_groups.get(parity, ())
-        for e1, (a0, a1, a2, a3) in f_terms:
-            for e2, (b0, b1, b2, b3) in g_terms:
-                weights[(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])] += \
-                    a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+    for e1, (a0, a1, a2, a3) in f_terms:
+        for e2, (b0, b1, b2, b3) in g_groups[(e1[0] % 2, e1[1] % 2, e1[2] % 2)]:
+            weights[(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])] += \
+                a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
     total = sum((w * moment(*exp) for exp, w in weights.items() if w), Fraction(0))
     return total / (df * dg)
 

@@ -4,7 +4,9 @@ Coefficients sit on the left of the (real, hence central) variables, so a
 term is  c * x0^a0 * x1^a1 * x2^a2  with c a Quaternion.  Multiplication
 of two polynomials multiplies coefficients in quaternion order and adds
 exponents, which is exactly right because the variables commute with
-everything.
+everything.  Products, dirac, dirac_bar and scalar multiples all run
+through one kernel, sum_of_products, on lcm-scaled ints with one division
+per output component.
 
 The generalized Cauchy-Riemann operator and its conjugate act from the
 left:
@@ -24,11 +26,15 @@ Example
 >>> z1 = MPoly.variable(1) - MPoly.scalar(E1) * MPoly.variable(0)
 >>> z1.dirac().is_zero()
 True
+>>> MPoly.scalar(E1) * Z2 != Z2 * MPoly.scalar(E1)
+True
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -112,24 +118,15 @@ class MPoly:
         return MPoly({exp: -coeff for exp, coeff in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, MPoly):
-            out: dict[Exponent, Quaternion] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                    prod = c1 * c2
-                    out[exp] = out[exp] + prod if exp in out else prod
-            return MPoly(out)
         if isinstance(other, (int, Fraction, Quaternion)):
-            # right scalar: coefficients pick it up on the right
-            other = _as_coeff(other)
-            return MPoly({exp: coeff * other for exp, coeff in self.terms.items()})
+            other = MPoly.scalar(other)  # right scalar: stays on the right
+        if isinstance(other, MPoly):
+            return sum_of_products([(self, other)])
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Quaternion)):
-            other = _as_coeff(other)
-            return MPoly({exp: other * coeff for exp, coeff in self.terms.items()})
+            return sum_of_products([(MPoly.scalar(other), self)])
         return NotImplemented
 
     def __truediv__(self, other):
@@ -153,14 +150,12 @@ class MPoly:
         return MPoly(out)
 
     def dirac(self) -> MPoly:
-        return (self.partial(0)
-                + MPoly.scalar(E1) * self.partial(1)
-                + MPoly.scalar(E2) * self.partial(2))
+        return sum_of_products([(MPoly.scalar(unit), self.partial(i))
+                                for i, unit in enumerate((1, E1, E2))])
 
     def dirac_bar(self) -> MPoly:
-        return (self.partial(0)
-                - MPoly.scalar(E1) * self.partial(1)
-                - MPoly.scalar(E2) * self.partial(2))
+        return sum_of_products([(MPoly.scalar(unit), self.partial(i))
+                                for i, unit in enumerate((1, -E1, -E2))])
 
     def laplacian(self) -> MPoly:
         return sum((self.partial(i).partial(i) for i in range(3)), MPoly.zero())
@@ -272,6 +267,37 @@ class MPoly:
     @classmethod
     def from_json(cls, text: str) -> MPoly:
         return cls.from_json_dict(json.loads(text))
+
+
+def integer_terms(poly: MPoly) -> tuple[int, list[tuple[Exponent, list[int]]]]:
+    """(d, [(exponent, d * components)]) with d the lcm of the denominators."""
+    d = math.lcm(*(x.denominator for q in poly.terms.values() for x in q.components()))
+    return d, [(exp, [x.numerator * (d // x.denominator) for x in q.components()])
+               for exp, q in poly.terms.items()]
+
+
+def sum_of_products(pairs) -> MPoly:
+    """sum of f * g over (f, g) pairs, on integer components (integer_terms).
+
+    Every pair is rescaled to den, the lcm over the pairs of d_f * d_g.  A
+    term pair costs the 16 int products of the quaternion table in (f, g)
+    order; each output component is one Fraction(num, den), built last.
+    """
+    scaled = [(integer_terms(f), integer_terms(g)) for f, g in pairs]
+    den = math.lcm(*(df * dg for (df, _), (dg, _) in scaled))
+    acc: dict[Exponent, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
+    for (df, f_terms), (dg, g_terms) in scaled:
+        k = den // (df * dg)
+        for e1, comps in f_terms:
+            a1, b1, c1, d1 = (k * x for x in comps)
+            for e2, (a2, b2, c2, d2) in g_terms:
+                exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+                s = acc[exp]
+                s[0] += a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2
+                s[1] += a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2
+                s[2] += a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2
+                s[3] += a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2
+    return MPoly({exp: Quaternion(*(Fraction(x, den) for x in s)) for exp, s in acc.items()})
 
 
 def _powers(v: np.ndarray, top: int) -> np.ndarray:

@@ -1,14 +1,17 @@
 """Exact quaternion arithmetic over the rationals.
 
-The algebra layer is built on fractions.Fraction throughout, so that
-monogenicity, orthogonality and norm identities can be checked with zero
-floating point noise.  Floats only appear when a caller explicitly asks
-for them (grid evaluation, quadrature, reports).
+Quaternion values are built on fractions.Fraction, so identities hold with
+zero floating point noise; polynomial products (mpoly.sum_of_products) run
+on lcm-scaled ints with one division per output component.  Floats appear
+only where a caller asks for them (grid evaluation, quadrature, reports).
 
 Units follow the convention e1*e2 = e3, e2*e3 = e1, e3*e1 = e2 and
 e_i^2 = -1.  The reduced subspace span{1, e1, e2} is where all basis
 polynomials take their values; it is not closed under multiplication,
 so it is exposed as a constructor plus a predicate rather than a type.
+
+>>> (E1 * E2 == E3, E2 * E1 == -E3, E1 * E1 == -ONE)
+(True, True, True)
 """
 
 from __future__ import annotations

@@ -1,0 +1,113 @@
+"""The integer polynomial product kernel against the term-by-term Quaternion loop."""
+
+import doctest
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import monokit.mpoly
+import monokit.quaternion
+from monokit.basis import basis_for_degree
+from monokit.fueter import fueter_power, taylor_coefficients, taylor_reconstruct
+from monokit.mpoly import MPoly, Z1, Z2, integer_terms, sum_of_products
+from monokit.quaternion import E1, E2, E3, Quaternion
+
+repeatable = settings(derandomize=True, database=None, deadline=None)
+
+fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+quaternions = st.builds(Quaternion, fractions, fractions, fractions, fractions)
+exponents = st.tuples(*[st.integers(0, 3)] * 3)
+polys = st.dictionaries(exponents, quaternions, max_size=6).map(MPoly)
+reals = st.integers(-30, 30) | fractions
+
+
+def _reference_product(f: MPoly, g: MPoly) -> MPoly:
+    # the term-by-term Quaternion loop that MPoly.__mul__ used to be
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+            prod = c1 * c2
+            out[exp] = out[exp] + prod if exp in out else prod
+    return MPoly(out)
+
+
+def _reference_dirac(f: MPoly, sign: int) -> MPoly:
+    return (f.partial(0)
+            + _reference_product(MPoly.scalar(sign * E1), f.partial(1))
+            + _reference_product(MPoly.scalar(sign * E2), f.partial(2)))
+
+
+@repeatable
+@given(polys, polys)
+def test_product_matches_the_quaternion_loop(f, g):
+    assert f * g == _reference_product(f, g)
+    assert g * f == _reference_product(g, f)
+
+
+@repeatable
+@given(polys, quaternions, reals)
+def test_scalar_multiples_keep_their_side(f, q, c):
+    assert q * f == MPoly({exp: q * coeff for exp, coeff in f.terms.items()})
+    assert f * q == MPoly({exp: coeff * q for exp, coeff in f.terms.items()})
+    assert c * f == f * c == MPoly({exp: coeff * c for exp, coeff in f.terms.items()})
+
+
+@repeatable
+@given(polys)
+def test_dirac_matches_the_quaternion_loop(f):
+    assert f.dirac() == _reference_dirac(f, 1)
+    assert f.dirac_bar() == _reference_dirac(f, -1)
+
+
+@repeatable
+@given(st.lists(st.tuples(polys, polys), max_size=4))
+def test_sum_of_products_matches_the_quaternion_loop(pairs):
+    want = MPoly.zero()
+    for f, g in pairs:
+        want = want + _reference_product(f, g)
+    assert sum_of_products(pairs) == want
+
+
+def test_sum_of_products_rescales_pairs_of_different_denominators():
+    f = MPoly({(1, 0, 0): Quaternion(Fraction(1, 3), 0, 0, Fraction(2, 7)),
+               (0, 1, 1): Quaternion(0, Fraction(-5, 12), 1, 0)})
+    g = MPoly({(1, 0, 0): Quaternion(Fraction(3, 4), Fraction(1, 5), 0, 0),
+               (0, 0, 2): E3 * Fraction(7, 11)})
+    pairs = [(f, g), (g, f), (g, g), (MPoly.scalar(E1), Z1 * Fraction(1, 9)),
+             (Z2, MPoly.scalar(E2))]
+    assert len({integer_terms(a)[0] * integer_terms(b)[0] for a, b in pairs}) == 4
+    want = MPoly.zero()
+    for a, b in pairs:
+        want = want + _reference_product(a, b)
+    assert sum_of_products(pairs) == want
+    assert sum_of_products([]) == MPoly.zero()
+    assert sum_of_products([(f, MPoly.zero())]) == MPoly.zero()
+
+
+def test_integer_terms_scale_by_the_lcm():
+    f = MPoly({(0, 0, 0): Quaternion(Fraction(1, 4), 0, Fraction(-1, 6), 0),
+               (2, 0, 1): Quaternion(0, 0, 0, 3)})
+    d, terms = integer_terms(f)
+    assert d == 12
+    assert sorted(terms) == [((0, 0, 0), [3, 0, -2, 0]), ((2, 0, 1), [0, 0, 0, 36])]
+    assert integer_terms(MPoly.zero()) == (1, [])
+
+
+def test_taylor_reconstruct_matches_the_additive_loop():
+    for n in range(9):
+        for element in basis_for_degree(n):
+            tc = taylor_coefficients(element.poly)
+            want = MPoly.zero()
+            for gamma, c in tc.coeffs.items():
+                if c:
+                    want = want + _reference_product(fueter_power(*gamma).poly, MPoly.scalar(c))
+            assert taylor_reconstruct(tc) == want == element.poly
+
+
+@pytest.mark.parametrize("module", [monokit.mpoly, monokit.quaternion])
+def test_doctests_pass(module):
+    result = doctest.testmod(module)
+    assert result.failed == 0
+    assert result.attempted > 0
