@@ -14,8 +14,8 @@ from monokit import (fueter_power, spherical_monogenic, taylor_coefficients,
 # The symmetrized power for exponent (2, 1): average of the 3 orderings of
 # z1 z1 z2.  It is itself monogenic and homogeneous of degree 3.
 v21 = fueter_power(2, 1)
-print("symmetrized power (2,1) =", v21.poly)
-assert v21.poly.dirac().is_zero()
+print("symmetrized power (2,1) =", v21)
+assert v21.dirac().is_zero()
 
 # Expand a degree-3 basis element.  The coefficients live on gamma = (g1, g2)
 # with g1 + g2 = 3, and they are exact quaternions.

@@ -7,16 +7,15 @@ quadrature cross-checks, inequality sweeps, and the Bohr-type radius of the
 associated Fourier series.
 """
 
-from .basis import (BasisElement, BasisIndex, SolidHarmonic, basis_for_degree,
-                    degree_indices, monogenic_constant_eval, norm_sq_ball_closed,
-                    norm_sq_sphere_closed, sc_closed_form, sc_e1_norm_sq_closed,
-                    sc_norm_sq_closed, solid_harmonic, spherical_monogenic)
+from .basis import (BasisElement, BasisIndex, basis_for_degree, degree_indices,
+                    monogenic_constant_eval, norm_sq_ball_closed, norm_sq_sphere_closed,
+                    sc_closed_form, sc_e1_norm_sq_closed, sc_norm_sq_closed,
+                    solid_harmonic, spherical_monogenic)
 from .bohr import (BohrReport, BoundCheckReport, bohr_radius, coefficient_domination,
                    empirical_bohr_sum, empirical_bohr_sweep, random_test_function,
                    series_f1_threshold, series_f2_threshold, series_s1, series_s2,
                    verify_corollary_bounds, verify_pointwise_bounds)
-from .fueter import (FueterPower, TaylorCoeffs, fueter_power, taylor_coefficients,
-                     taylor_reconstruct)
+from .fueter import TaylorCoeffs, fueter_power, taylor_coefficients, taylor_reconstruct
 from .legendre import assoc_body, assoc_legendre_float, legendre_coeffs
 from .moments import (ball_moment, inner_ball, inner_ball_h, inner_sphere,
                       inner_sphere_h, norm_sq_ball, norm_sq_sphere, sphere_moment)
@@ -30,8 +29,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisElement", "BasisIndex", "BohrReport", "BoundCheckReport", "E1", "E2", "E3",
-    "FourierCoeffs", "FueterPower", "MPoly", "ONE", "QuadratureRule", "Quaternion",
-    "SolidHarmonic", "TaylorCoeffs", "X0", "X1", "X2", "Z1", "Z2", "ZERO",
+    "FourierCoeffs", "MPoly", "ONE", "QuadratureRule", "Quaternion", "TaylorCoeffs",
+    "X0", "X1", "X2", "Z1", "Z2", "ZERO",
     "assoc_body", "assoc_legendre_float", "ball_moment", "basis_for_degree",
     "bohr_radius", "coefficient_domination", "degree_indices", "empirical_bohr_sum",
     "empirical_bohr_sweep", "fourier_expand", "fourier_synthesize", "fueter_power",

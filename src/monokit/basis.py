@@ -35,38 +35,6 @@ from .quaternion import Quaternion
 KINDS = ("X", "Y")
 
 
-class SqrtPi:
-    """Exact value sqrt(rational * pi); float only on request."""
-
-    __slots__ = ("rational",)
-
-    def __init__(self, rational):
-        self.rational = Fraction(rational)
-        if self.rational < 0:
-            raise ValueError("negative radicand")
-
-    def __float__(self) -> float:
-        return math.sqrt(float(self.rational) * math.pi)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SqrtPi):
-            return self.rational == other.rational
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"sqrt({self.rational}*pi)"
-
-
-@dataclass(frozen=True)
-class SolidHarmonic:
-    """Homogeneous harmonic polynomial r^deg U^m_deg or r^deg V^m_deg."""
-
-    deg: int
-    kind: str  # "U" (cos branch) or "V" (sin branch)
-    m: int
-    poly: MPoly
-
-
 @dataclass(frozen=True)
 class BasisIndex:
     kind: str  # "X" or "Y"
@@ -96,11 +64,11 @@ class BasisIndex:
 
 @dataclass(frozen=True)
 class BasisElement:
-    """One homogeneous monogenic basis polynomial with its exact norms.
+    """One homogeneous monogenic basis polynomial with its sphere norm.
 
-    poly is the raw (unnormalized) polynomial; norm_S and norm_B are the
-    L2 norms over the unit sphere and unit ball, kept as sqrt(rational*pi)
-    so that normalized Gram matrices stay exactly rational.
+    poly is the raw (unnormalized) polynomial; norm_sq_S is its squared
+    L2 norm over the unit sphere divided by pi, exact, and norm_S the
+    norm itself as a float.
     """
 
     index: BasisIndex
@@ -111,12 +79,8 @@ class BasisElement:
         return _norm_sq_over_pi(self.index)
 
     @property
-    def norm_S(self) -> SqrtPi:
-        return SqrtPi(self.norm_sq_S)
-
-    @property
-    def norm_B(self) -> SqrtPi:
-        return SqrtPi(self.norm_sq_S / (2 * self.index.n + 3))
+    def norm_S(self) -> float:
+        return math.sqrt(float(self.norm_sq_S) * math.pi)
 
 
 # -- construction ---------------------------------------------------------------
@@ -143,8 +107,9 @@ def _radius_sq_power(k: int) -> MPoly:
 
 
 @lru_cache(maxsize=None)
-def solid_harmonic(deg: int, kind: str, m: int) -> SolidHarmonic:
-    """Exact Cartesian form of r^deg U^m_deg (kind U) or r^deg V^m_deg (kind V)."""
+def solid_harmonic(deg: int, kind: str, m: int) -> MPoly:
+    """Exact Cartesian form of r^deg U^m_deg (kind U, the cos branch) or
+    r^deg V^m_deg (kind V, the sin branch), a homogeneous harmonic polynomial."""
     if deg < 1:
         raise ValueError(f"degree must be >= 1, got {deg}")
     if kind not in ("U", "V"):
@@ -162,7 +127,7 @@ def solid_harmonic(deg: int, kind: str, m: int) -> SolidHarmonic:
         rest = deg - m - j
         assert rest % 2 == 0, "derivative body parity broken"
         axial = axial + q * MPoly.monomial((j, 0, 0)) * _radius_sq_power(rest // 2)
-    return SolidHarmonic(deg, kind, m, angular * axial)
+    return angular * axial
 
 
 @lru_cache(maxsize=None)
@@ -175,8 +140,7 @@ def spherical_monogenic(n: int, kind: str, m: int) -> BasisElement:
     """
     index = BasisIndex(kind, n, m)
     harmonic = solid_harmonic(n + 1, "U" if kind == "X" else "V", m)
-    poly = harmonic.poly.dirac_bar() / 2
-    return BasisElement(index, poly)
+    return BasisElement(index, harmonic.dirac_bar() / 2)
 
 
 def degree_indices(n: int) -> list[BasisIndex]:

@@ -388,7 +388,7 @@ def random_test_function(rng: np.random.Generator, max_degree: int = 5) -> Fouri
 
     def coefficients(ws) -> FourierCoeffs:  # unit vectors sqrt(2n+3) e / norm_S
         return FourierCoeffs(max_degree, {
-            (e.index.n, e.index.label): float(w) * float(e.norm_S) / math.sqrt(2 * e.index.n + 3)
+            (e.index.n, e.index.label): float(w) * e.norm_S / math.sqrt(2 * e.index.n + 3)
             for e, w in zip(elements, ws)})
 
     values = fourier_synthesize(coefficients(weights), *_sphere_grid(121, 240))

@@ -44,12 +44,6 @@ from .quaternion import Quaternion
 
 
 @dataclass(frozen=True)
-class FueterPower:
-    gamma: tuple[int, int]
-    poly: MPoly
-
-
-@dataclass(frozen=True)
 class TaylorCoeffs:
     """All n+1 coefficients of a homogeneous degree-n polynomial."""
 
@@ -64,16 +58,17 @@ class TaylorCoeffs:
 
 
 @lru_cache(maxsize=None)
-def fueter_power(g1: int, g2: int) -> FueterPower:
+def fueter_power(g1: int, g2: int) -> MPoly:
+    """The symmetrized power V_gamma for gamma = (g1, g2), by the recursion."""
     if g1 < 0 or g2 < 0:
         raise ValueError(f"negative multi-index ({g1}, {g2})")
     n = g1 + g2
     if n == 0:
-        return FueterPower((0, 0), MPoly.one())
-    pairs = [(fueter_power(g1 - 1, g2).poly, Z1 * Fraction(g1, n))] if g1 else []
+        return MPoly.one()
+    pairs = [(fueter_power(g1 - 1, g2), Z1 * Fraction(g1, n))] if g1 else []
     if g2:
-        pairs.append((fueter_power(g1, g2 - 1).poly, Z2 * Fraction(g2, n)))
-    return FueterPower((g1, g2), sum_of_products(pairs))
+        pairs.append((fueter_power(g1, g2 - 1), Z2 * Fraction(g2, n)))
+    return sum_of_products(pairs)
 
 
 def fueter_power_permutation_sum(g1: int, g2: int) -> MPoly:
@@ -100,7 +95,7 @@ def taylor_coefficients(f: MPoly) -> TaylorCoeffs:
 
 
 def taylor_reconstruct(tc: TaylorCoeffs) -> MPoly:
-    return sum_of_products([(fueter_power(*gamma).poly, MPoly.scalar(c))
+    return sum_of_products([(fueter_power(*gamma), MPoly.scalar(c))
                             for gamma, c in tc.coeffs.items() if c])
 
 
@@ -113,7 +108,7 @@ def fueter_power_bound_check(g1: int, g2: int, points) -> float:
     r = np.sqrt((pts ** 2).sum(axis=1))
     if np.any(r == 0):
         raise ValueError("points must avoid the origin")
-    values = fueter_power(g1, g2).poly.eval_grid(pts[:, 0], pts[:, 1], pts[:, 2])
+    values = fueter_power(g1, g2).eval_grid(pts[:, 0], pts[:, 1], pts[:, 2])
     moduli = np.sqrt((values ** 2).sum(axis=-1))
     return float(np.max(moduli / r ** n))
 

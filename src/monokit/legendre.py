@@ -10,7 +10,14 @@ keeps the (1-t^2)^(m/2) factor symbolic; identities are then polynomial
 identities with Fraction coefficients.  For m > d the body is the zero
 polynomial.
 
-Polynomials here are plain coefficient lists, index = power of t.
+Bodies are coefficient tuples, index = power of t.  Their identities and
+float values go through MPoly in the variable x0 = t (_x0_poly), so there
+is one exact polynomial type and one float evaluator, mpoly.eval_terms.
+
+Example
+-------
+>>> recurrence_residual(4, 2).is_zero()
+True
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-Coeffs = list[Fraction]
+from .mpoly import MPoly, X0, eval_terms
 
 
 def double_factorial(n: int) -> int:
@@ -35,62 +42,17 @@ def double_factorial(n: int) -> int:
     return out
 
 
-# -- coefficient-list helpers -------------------------------------------------
-
-def poly_eval(coeffs: Coeffs, t: Fraction) -> Fraction:
-    total = Fraction(0)
-    for power, c in enumerate(coeffs):
-        if c:
-            total += c * t ** power
-    return total
+def _x0_poly(coeffs) -> MPoly:
+    """The polynomial sum_k coeffs[k] x0^k."""
+    return MPoly({(k, 0, 0): c for k, c in enumerate(coeffs)})
 
 
-def poly_eval_float(coeffs: Coeffs, t) -> float | np.ndarray:
-    t = np.asarray(t, dtype=float)
-    total = np.zeros_like(t)
-    for power, c in enumerate(coeffs):
-        if c:
-            total += float(c) * t ** power
-    return total if total.shape else float(total)
+def _eval_x0(poly: MPoly, t) -> np.ndarray:
+    """Float values of a real polynomial in x0 at x0 = t, through eval_terms."""
+    return eval_terms(poly.float_terms(), t, 0.0, 0.0)[..., 0]
 
 
-def poly_deriv(coeffs: Coeffs) -> Coeffs:
-    return [c * power for power, c in enumerate(coeffs)][1:]
-
-
-def poly_mul(a: Coeffs, b: Coeffs) -> Coeffs:
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-def poly_add(a: Coeffs, b: Coeffs) -> Coeffs:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def poly_scale(a: Coeffs, s) -> Coeffs:
-    return [c * s for c in a]
-
-
-def poly_is_zero(a: Coeffs) -> bool:
-    return all(c == 0 for c in a)
-
-
-def poly_integrate_sym(coeffs: Coeffs) -> Fraction:
-    """Exact integral over [-1, 1]; odd powers drop out."""
-    total = Fraction(0)
-    for power, c in enumerate(coeffs):
-        if c and power % 2 == 0:
-            total += 2 * c / (power + 1)
-    return total
+_ONE_MINUS_T2 = MPoly.one() - X0 * X0
 
 
 # -- Legendre bodies ----------------------------------------------------------
@@ -114,40 +76,36 @@ def legendre_coeffs(d: int) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=None)
 def assoc_body(d: int, m: int) -> tuple[Fraction, ...]:
-    """Coefficients of Q_{d,m} = d^m/dt^m P_d; zero polynomial when m > d."""
+    """Coefficients of Q_{d,m} = d^m/dt^m P_d; zero polynomial when m > d.
+
+    The m-th derivative takes t^k to k!/(k-m)! t^(k-m).
+    """
     if m < 0:
         raise ValueError(f"order must be >= 0, got {m}")
     if m > d:
         return ()
-    coeffs = list(legendre_coeffs(d))
-    for _ in range(m):
-        coeffs = poly_deriv(coeffs)
-    return tuple(coeffs)
-
-
-def legendre_float(d: int, t) -> float | np.ndarray:
-    return poly_eval_float(list(legendre_coeffs(d)), t)
+    return tuple(c * math.perm(k, m) for k, c in enumerate(legendre_coeffs(d)))[m:]
 
 
 def assoc_legendre_float(d: int, m: int, t) -> float | np.ndarray:
     """P^m_d(t) = (1-t^2)^(m/2) Q_{d,m}(t), no Condon-Shortley sign."""
     t = np.asarray(t, dtype=float)
-    body = poly_eval_float(list(assoc_body(d, m)), t)
-    out = (1.0 - t * t) ** (m / 2.0) * body
+    out = (1.0 - t * t) ** (m / 2.0) * _eval_x0(_x0_poly(assoc_body(d, m)), t)
     return out if np.shape(out) else float(out)
 
 
 def assoc_norm_sq(d: int, m: int) -> Fraction:
     """Exact value of the integral of (P^m_d)^2 over [-1, 1].
 
-    (1-t^2)^m Q^2 is a genuine polynomial, so this is a rational number.
+    (1-t^2)^m Q^2 is a genuine polynomial, so this is a rational number;
+    odd powers drop out and t^a integrates to 2/(a+1).
     """
-    body = list(assoc_body(d, m))
-    one_minus_t2 = [Fraction(1), Fraction(0), Fraction(-1)]
-    integrand = poly_mul(body, body)
+    body = _x0_poly(assoc_body(d, m))
+    integrand = body * body
     for _ in range(m):
-        integrand = poly_mul(integrand, one_minus_t2)
-    return poly_integrate_sym(integrand)
+        integrand = integrand * _ONE_MINUS_T2
+    return sum((2 * c.sc() / (exp[0] + 1) for exp, c in integrand.terms.items()
+                if exp[0] % 2 == 0), Fraction(0))
 
 
 def assoc_norm_sq_closed(d: int, m: int) -> Fraction:
@@ -157,37 +115,34 @@ def assoc_norm_sq_closed(d: int, m: int) -> Fraction:
 
 # -- identity residuals --------------------------------------------------------
 
-def recurrence_residual(d: int, m: int) -> Coeffs:
+def recurrence_residual(d: int, m: int) -> MPoly:
     """Body-level residual of (1-t^2) d/dt P^m_d = (d+m) P^m_{d-1} - d t P^m_d.
 
     After dividing out (1-t^2)^(m/2) the identity reads
 
         (1-t^2) Q'_{d,m} - m t Q_{d,m} = (d+m) Q_{d-1,m} - d t Q_{d,m}
 
-    and the returned list is LHS - RHS, exactly zero when the identity holds.
+    and the returned polynomial in x0 = t is LHS - RHS, exactly zero when
+    the identity holds.
     """
-    q_d = list(assoc_body(d, m))
-    q_prev = list(assoc_body(d - 1, m))
-    u = [Fraction(1), Fraction(0), Fraction(-1)]
-    t = [Fraction(0), Fraction(1)]
-    lhs = poly_add(poly_mul(u, poly_deriv(q_d)), poly_scale(poly_mul(t, q_d), -m))
-    rhs = poly_add(poly_scale(q_prev, d + m), poly_scale(poly_mul(t, q_d), -d))
-    return poly_add(lhs, poly_scale(rhs, -1))
+    q_d = _x0_poly(assoc_body(d, m))
+    q_prev = _x0_poly(assoc_body(d - 1, m))
+    lhs = _ONE_MINUS_T2 * q_d.partial(0) - m * (X0 * q_d)
+    rhs = (d + m) * q_prev - d * (X0 * q_d)
+    return lhs - rhs
 
 
-def ode_residual_body(d: int, m: int) -> Coeffs:
+def ode_residual_body(d: int, m: int) -> MPoly:
     """Exact residual of the m-times differentiated Legendre equation.
 
     (1-t^2) Q'' - 2(m+1) t Q' + (d(d+1) - m(m+1)) Q = 0 for Q = Q_{d,m};
     this is the associated equation with the root factor divided out.
+    The residual is a polynomial in x0 = t.
     """
-    q = list(assoc_body(d, m))
-    u = [Fraction(1), Fraction(0), Fraction(-1)]
-    t = [Fraction(0), Fraction(1)]
-    out = poly_mul(u, poly_deriv(poly_deriv(q)))
-    out = poly_add(out, poly_scale(poly_mul(t, poly_deriv(q)), -2 * (m + 1)))
-    out = poly_add(out, poly_scale(q, d * (d + 1) - m * (m + 1)))
-    return out
+    q = _x0_poly(assoc_body(d, m))
+    dq = q.partial(0)
+    return (_ONE_MINUS_T2 * dq.partial(0) - 2 * (m + 1) * (X0 * dq)
+            + (d * (d + 1) - m * (m + 1)) * q)
 
 
 def ode_residual(d: int, m: int, t: float) -> float:
@@ -200,9 +155,9 @@ def ode_residual(d: int, m: int, t: float) -> float:
     if not -1.0 < t < 1.0:
         raise ValueError(f"need |t| < 1, got {t}")
     u = 1.0 - t * t
-    q = poly_eval_float(list(assoc_body(d, m)), t)
-    dq = poly_eval_float(poly_deriv(list(assoc_body(d, m))), t)
-    ddq = poly_eval_float(poly_deriv(poly_deriv(list(assoc_body(d, m)))), t)
+    body = _x0_poly(assoc_body(d, m))
+    dbody = body.partial(0)
+    q, dq, ddq = (float(_eval_x0(p, t)) for p in (body, dbody, dbody.partial(0)))
     root = u ** (m / 2.0)
     p = root * q
     g = u * dq - m * t * q

@@ -305,7 +305,8 @@ def _powers(v: np.ndarray, top: int) -> np.ndarray:
     table = np.empty((top + 1,) + v.shape)
     table[0] = 1.0
     for k in range(1, top + 1):
-        np.multiply(table[k - 1], v, out=table[k])
+        # table[k, ...] stays an array view when v is 0-d; table[k] would not
+        np.multiply(table[k - 1], v, out=table[k, ...])
     return table
 
 

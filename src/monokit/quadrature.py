@@ -156,7 +156,7 @@ def basis_samples(rule: QuadratureRule, max_degree: int) -> np.ndarray:
 
 def sphere_norms(elements) -> np.ndarray:
     """Float L2(S) norms of the elements, in order."""
-    return np.array([float(e.norm_S) for e in elements])
+    return np.array([e.norm_S for e in elements])
 
 
 def radial_pairs(degrees: np.ndarray) -> np.ndarray:

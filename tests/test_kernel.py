@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import monokit.legendre
 import monokit.mpoly
 import monokit.quaternion
 from monokit.basis import basis_for_degree
@@ -102,12 +103,17 @@ def test_taylor_reconstruct_matches_the_additive_loop():
             want = MPoly.zero()
             for gamma, c in tc.coeffs.items():
                 if c:
-                    want = want + _reference_product(fueter_power(*gamma).poly, MPoly.scalar(c))
+                    want = want + _reference_product(fueter_power(*gamma), MPoly.scalar(c))
             assert taylor_reconstruct(tc) == want == element.poly
 
 
-@pytest.mark.parametrize("module", [monokit.mpoly, monokit.quaternion])
+@pytest.mark.parametrize("module", [monokit.mpoly, monokit.quaternion, monokit.legendre])
 def test_doctests_pass(module):
     result = doctest.testmod(module)
     assert result.failed == 0
     assert result.attempted > 0
+
+
+def test_public_names_resolve():
+    missing = [name for name in monokit.__all__ if not hasattr(monokit, name)]
+    assert not missing

@@ -7,8 +7,12 @@ import numpy as np
 
 from monokit.legendre import (assoc_body, assoc_legendre_float, assoc_norm_sq,
                               assoc_norm_sq_closed, double_factorial, legendre_coeffs,
-                              legendre_float, ode_residual, ode_residual_body,
-                              poly_eval, poly_is_zero, recurrence_residual)
+                              ode_residual, ode_residual_body, recurrence_residual)
+
+
+def poly_eval(coeffs, t: Fraction) -> Fraction:
+    """Exact value of sum_k coeffs[k] t^k."""
+    return sum((c * t ** k for k, c in enumerate(coeffs)), Fraction(0))
 
 
 def test_double_factorial():
@@ -51,20 +55,20 @@ def test_norms_match_closed_form_exactly():
 def test_recurrence_identity_exact():
     for d in range(1, 10):
         for m in range(d):
-            assert poly_is_zero(recurrence_residual(d, m))
+            assert recurrence_residual(d, m).is_zero()
 
 
 def test_recurrence_identity_at_top_orders():
     # also holds at m = d and (trivially) m = d + 1, beyond the stated range
     for d in range(1, 10):
-        assert poly_is_zero(recurrence_residual(d, d))
-        assert poly_is_zero(recurrence_residual(d, d + 1))
+        assert recurrence_residual(d, d).is_zero()
+        assert recurrence_residual(d, d + 1).is_zero()
 
 
 def test_ode_body_identity_exact():
     for d in range(10):
         for m in range(d + 1):
-            assert poly_is_zero(ode_residual_body(d, m))
+            assert ode_residual_body(d, m).is_zero()
 
 
 def test_ode_float_residual():
@@ -76,7 +80,18 @@ def test_float_eval_matches_exact():
     t = Fraction(3, 7)
     for d in range(8):
         exact = poly_eval(legendre_coeffs(d), t)
-        assert abs(legendre_float(d, float(t)) - float(exact)) < 1e-14
+        assert abs(assoc_legendre_float(d, 0, float(t)) - float(exact)) < 1e-14
+
+
+def test_assoc_float_matches_exact_body_pointwise():
+    for t in (Fraction(-3, 7), Fraction(0), Fraction(1, 3), Fraction(5, 6)):
+        root = (1.0 - float(t) ** 2) ** 0.5
+        for d in range(9):
+            for m in range(d + 1):
+                exact = float(poly_eval(assoc_body(d, m), t)) * root ** m
+                value = assoc_legendre_float(d, m, float(t))
+                assert isinstance(value, float)
+                assert math.isclose(value, exact, rel_tol=1e-13), (d, m, t)
 
 
 def test_quadrature_cross_check():

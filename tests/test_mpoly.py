@@ -66,6 +66,18 @@ def test_eval_grid_matches_evaluate():
     assert np.allclose(grid[0], [float(c) for c in exact.components()], atol=1e-15)
 
 
+def test_eval_grid_at_scalar_points():
+    from monokit.basis import basis_for_degree
+    x = point(Fraction(1, 2), Fraction(1, 5), Fraction(1, 10))
+    for element in basis_for_degree(2):
+        scalar = element.poly.eval_grid(0.5, 0.2, 0.1)
+        single = element.poly.eval_grid(np.array([0.5]), np.array([0.2]), np.array([0.1]))
+        assert scalar.shape == (4,)
+        assert np.array_equal(scalar, single[0])
+        exact = [float(c) for c in element.poly.evaluate(x).components()]
+        assert np.max(np.abs(scalar - exact)) <= 1e-15
+
+
 def _per_term_reference(terms, x0, x1, x2, monomials=None):
     # reference: the plain per-term evaluator, three float powers per term at
     # every point; monomials may keep them across calls on the same points
