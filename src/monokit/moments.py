@@ -16,9 +16,9 @@ Over the unit ball a monomial of total degree n picks up the radial
 factor 1/(n+3), term by term.
 
 inner_sphere and inner_ball share one kernel on Sc(conj(f) g) = sum_c f_c g_c:
-both polynomials are scaled to integer components by the lcm of their
-denominators (mpoly.integer_terms), only terms of the same exponent parity
-pattern are paired (other moments vanish), and one division comes last.
+it reads the stored integer components of both polynomials (MPoly.ints
+over MPoly.den), pairs only terms of the same exponent parity pattern (other
+moments vanish), and divides once, last.
 inner_sphere_h and inner_ball_h integrate the quaternion product conj(f) g;
 they are the reference.
 """
@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .legendre import double_factorial
-from .mpoly import MPoly, integer_terms
+from .mpoly import MPoly
 from .quaternion import Quaternion
 
 
@@ -76,18 +76,16 @@ def inner_sphere_h(f: MPoly, g: MPoly) -> Quaternion:
 
 def _real_product(f: MPoly, g: MPoly, moment) -> Fraction:
     """sum_c integral f_c g_c, over pi: the scalar part of integral conj(f) g."""
-    df, f_terms = integer_terms(f)
-    dg, g_terms = (df, f_terms) if g is f else integer_terms(g)
     g_groups = defaultdict(list)  # exponent parity pattern -> terms
-    for e2, ints in g_terms:
+    for e2, ints in g.ints.items():
         g_groups[(e2[0] % 2, e2[1] % 2, e2[2] % 2)].append((e2, ints))
     weights = defaultdict(int)
-    for e1, (a0, a1, a2, a3) in f_terms:
+    for e1, (a0, a1, a2, a3) in f.ints.items():
         for e2, (b0, b1, b2, b3) in g_groups[(e1[0] % 2, e1[1] % 2, e1[2] % 2)]:
             weights[(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])] += \
                 a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
     total = sum((w * moment(*exp) for exp, w in weights.items() if w), Fraction(0))
-    return total / (df * dg)
+    return total / (f.den * g.den)
 
 
 def inner_sphere(f: MPoly, g: MPoly) -> Fraction:

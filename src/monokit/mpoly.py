@@ -4,9 +4,11 @@ Coefficients sit on the left of the (real, hence central) variables, so a
 term is  c * x0^a0 * x1^a1 * x2^a2  with c a Quaternion.  Multiplication
 of two polynomials multiplies coefficients in quaternion order and adds
 exponents, which is exactly right because the variables commute with
-everything.  Products, dirac, dirac_bar and scalar multiples all run
-through one kernel, sum_of_products, on lcm-scaled ints with one division
-per output component.
+everything.  The value is stored in one canonical integer form: den > 0 and
+ints {exponent: [a, b, c, d]} with gcd(den, every int) == 1 and no all-zero
+term.  Arithmetic works on the ints and renormalises with one gcd; products,
+dirac and dirac_bar run through one kernel, sum_of_products.  The read-only
+{exponent: Quaternion} view, terms, is the only place a Fraction is made.
 
 The generalized Cauchy-Riemann operator and its conjugate act from the
 left:
@@ -28,6 +30,9 @@ Example
 True
 >>> MPoly.scalar(E1) * Z2 != Z2 * MPoly.scalar(E1)
 True
+>>> p = X0 / 6 + X1 / 4
+>>> p.den, sorted(p.ints.items())
+(12, [((0, 1, 0), [3, 0, 0, 0]), ((1, 0, 0), [2, 0, 0, 0])])
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import json
 import math
 from collections import defaultdict
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterator, Union
 
 import numpy as np
@@ -60,18 +66,40 @@ def _as_coeff(value) -> Quaternion:
     raise TypeError(f"not a quaternion coefficient: {value!r}")
 
 
-class MPoly:
-    """Sparse polynomial: dict from exponent triple to Quaternion."""
+def _quaternion(comps: list[int], den: int) -> Quaternion:
+    return Quaternion(*(Fraction(x, den) for x in comps))
 
-    __slots__ = ("terms",)
+
+class MPoly:
+    """Sparse polynomial: integer components over one denominator, per exponent triple."""
+
+    __slots__ = ("den", "ints", "_terms")
 
     def __init__(self, terms: dict[Exponent, Quaternion] | None = None):
-        self.terms: dict[Exponent, Quaternion] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                coeff = _as_coeff(coeff)
-                if coeff:  # do not store zero coefficients
-                    self.terms[tuple(exp)] = coeff
+        coeffs = [(tuple(exp), _as_coeff(c).components()) for exp, c in (terms or {}).items()]
+        # the lcm of the reduced denominators leaves gcd(den, ints) == 1
+        self.den = math.lcm(*(x.denominator for _, comps in coeffs for x in comps))
+        self.ints = {exp: [x.numerator * (self.den // x.denominator) for x in comps]
+                     for exp, comps in coeffs if any(comps)}
+        self._terms = None
+
+    @classmethod
+    def _from_ints(cls, den: int, ints: dict[Exponent, list[int]]) -> MPoly:
+        """sum ints[e] / den * x^e (den > 0), brought to canonical form by one gcd."""
+        ints = {exp: comps for exp, comps in ints.items() if any(comps)}
+        g = math.gcd(den, *(x for comps in ints.values() for x in comps))
+        poly = cls.__new__(cls)
+        poly.den, poly._terms = den // g, None
+        poly.ints = {exp: [x // g for x in comps] for exp, comps in ints.items()} if g > 1 else ints
+        return poly
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only {exponent: Quaternion} view, built on first read."""
+        if self._terms is None:
+            self._terms = MappingProxyType({exp: _quaternion(comps, self.den)
+                                            for exp, comps in self.ints.items()})
+        return self._terms
 
     # -- constructors -------------------------------------------------------
 
@@ -104,10 +132,12 @@ class MPoly:
     def __add__(self, other: MPoly) -> MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            out[exp] = out[exp] + coeff if exp in out else coeff
-        return MPoly(out)
+        den = math.lcm(self.den, other.den)
+        ks, ko = den // self.den, den // other.den
+        out = {exp: [ks * x for x in comps] for exp, comps in self.ints.items()}
+        for exp, comps in other.ints.items():
+            out[exp] = [x + ko * y for x, y in zip(out.get(exp, (0, 0, 0, 0)), comps)]
+        return MPoly._from_ints(den, out)
 
     def __sub__(self, other: MPoly) -> MPoly:
         if not isinstance(other, MPoly):
@@ -115,7 +145,8 @@ class MPoly:
         return self + (-other)
 
     def __neg__(self) -> MPoly:
-        return MPoly({exp: -coeff for exp, coeff in self.terms.items()})
+        return MPoly._from_ints(self.den, {exp: [-x for x in comps]
+                                           for exp, comps in self.ints.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Quaternion)):
@@ -131,23 +162,27 @@ class MPoly:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MPoly({exp: coeff / other for exp, coeff in self.terms.items()})
+            q = 1 / Fraction(other)  # ZeroDivisionError for 0; q.denominator > 0
+            return MPoly._from_ints(self.den * q.denominator,
+                                    {exp: [q.numerator * x for x in comps]
+                                     for exp, comps in self.ints.items()})
         return NotImplemented
 
     def conjugate(self) -> MPoly:
-        return MPoly({exp: coeff.conjugate() for exp, coeff in self.terms.items()})
+        return MPoly._from_ints(self.den, {exp: [a, -b, -c, -d]
+                                           for exp, (a, b, c, d) in self.ints.items()})
 
     # -- calculus -----------------------------------------------------------
 
     def partial(self, i: int) -> MPoly:
         out = {}
-        for exp, coeff in self.terms.items():
+        for exp, comps in self.ints.items():
             if exp[i] == 0:
                 continue
             lowered = list(exp)
             lowered[i] -= 1
-            out[tuple(lowered)] = coeff * exp[i]
-        return MPoly(out)
+            out[tuple(lowered)] = [exp[i] * x for x in comps]
+        return MPoly._from_ints(self.den, out)
 
     def dirac(self) -> MPoly:
         return sum_of_products([(MPoly.scalar(unit), self.partial(i))
@@ -163,37 +198,34 @@ class MPoly:
     # -- inspection ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def degree(self) -> int:
         """Total degree; zero polynomial reports -1."""
-        if not self.terms:
+        if not self.ints:
             return -1
-        return max(sum(exp) for exp in self.terms)
+        return max(sum(exp) for exp in self.ints)
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(exp) for exp in self.terms}
+        degrees = {sum(exp) for exp in self.ints}
         return len(degrees) <= 1
 
     def homogeneous_part(self, n: int) -> MPoly:
-        return MPoly({exp: coeff for exp, coeff in self.terms.items()
-                      if sum(exp) == n})
+        return MPoly._from_ints(self.den, {exp: comps for exp, comps in self.ints.items()
+                                           if sum(exp) == n})
 
     def is_reduced(self) -> bool:
         """True when every coefficient lies in span{1, e1, e2}."""
-        return all(coeff.is_reduced() for coeff in self.terms.values())
+        return all(comps[3] == 0 for comps in self.ints.values())
 
     def coefficient(self, exp: Exponent) -> Quaternion:
-        return self.terms.get(tuple(exp), Quaternion())
+        comps = self.ints.get(tuple(exp))
+        return _quaternion(comps, self.den) if comps else Quaternion()
 
     def component(self, i: int) -> MPoly:
         """Real polynomial (as MPoly) of the i-th quaternion component."""
-        out = {}
-        for exp, coeff in self.terms.items():
-            part = coeff.components()[i]
-            if part:
-                out[exp] = Quaternion(part)
-        return MPoly(out)
+        return MPoly._from_ints(self.den, {exp: [comps[i], 0, 0, 0]
+                                           for exp, comps in self.ints.items()})
 
     def sc(self) -> MPoly:
         return self.component(0)
@@ -205,18 +237,18 @@ class MPoly:
         return iter(self.sorted_terms())
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.ints)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.ints)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.ints == other.ints
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.ints:
             return "MPoly(0)"
         bits = []
         for exp, coeff in self.sorted_terms():
@@ -236,7 +268,8 @@ class MPoly:
 
     def float_terms(self) -> list[tuple[Exponent, tuple[float, ...]]]:
         """Sorted (exponent, 4 floats) terms, the input of eval_terms."""
-        return [(e, c.to_floats()) for e, c in self.sorted_terms()]
+        den = self.den  # int / int rounds correctly, as float(Fraction) does
+        return [(e, tuple(x / den for x in comps)) for e, comps in sorted(self.ints.items())]
 
     def eval_grid(self, x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """Float evaluation at Cartesian points (broadcastable arrays); grid+(4,)."""
@@ -269,26 +302,19 @@ class MPoly:
         return cls.from_json_dict(json.loads(text))
 
 
-def integer_terms(poly: MPoly) -> tuple[int, list[tuple[Exponent, list[int]]]]:
-    """(d, [(exponent, d * components)]) with d the lcm of the denominators."""
-    d = math.lcm(*(x.denominator for q in poly.terms.values() for x in q.components()))
-    return d, [(exp, [x.numerator * (d // x.denominator) for x in q.components()])
-               for exp, q in poly.terms.items()]
-
-
 def sum_of_products(pairs) -> MPoly:
-    """sum of f * g over (f, g) pairs, on integer components (integer_terms).
+    """sum of f * g over a list of (f, g) pairs, on the stored integer components.
 
-    Every pair is rescaled to den, the lcm over the pairs of d_f * d_g.  A
-    term pair costs the 16 int products of the quaternion table in (f, g)
-    order; each output component is one Fraction(num, den), built last.
+    Every pair is rescaled to den, the lcm over the pairs of f.den * g.den.
+    A term pair costs the 16 int products of the quaternion table in (f, g)
+    order; the sums are brought to canonical form by one gcd at the end.
     """
-    scaled = [(integer_terms(f), integer_terms(g)) for f, g in pairs]
-    den = math.lcm(*(df * dg for (df, _), (dg, _) in scaled))
+    den = math.lcm(*(f.den * g.den for f, g in pairs))
     acc: dict[Exponent, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
-    for (df, f_terms), (dg, g_terms) in scaled:
-        k = den // (df * dg)
-        for e1, comps in f_terms:
+    for f, g in pairs:
+        k = den // (f.den * g.den)
+        g_terms = g.ints.items()
+        for e1, comps in f.ints.items():
             a1, b1, c1, d1 = (k * x for x in comps)
             for e2, (a2, b2, c2, d2) in g_terms:
                 exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
@@ -297,7 +323,7 @@ def sum_of_products(pairs) -> MPoly:
                 s[1] += a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2
                 s[2] += a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2
                 s[3] += a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2
-    return MPoly({exp: Quaternion(*(Fraction(x, den) for x in s)) for exp, s in acc.items()})
+    return MPoly._from_ints(den, acc)
 
 
 def _powers(v: np.ndarray, top: int) -> np.ndarray:

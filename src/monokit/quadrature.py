@@ -204,7 +204,7 @@ def block_table(n: int) -> tuple[tuple[Exponent, ...], np.ndarray]:
     [i, j] is element i's coefficient on exponent j, in degree_indices(n) order.
     """
     elements = basis_for_degree(n)
-    exps = tuple(sorted({exp for e in elements for exp in e.poly.terms}))
+    exps = tuple(sorted({exp for e in elements for exp in e.poly.ints}))
     table = np.array([[e.poly.coefficient(exp).to_floats() for exp in exps]
                       for e in elements])
     table.flags.writeable = False

@@ -1,9 +1,10 @@
 """Exact quaternion arithmetic over the rationals.
 
 Quaternion values are built on fractions.Fraction, so identities hold with
-zero floating point noise; polynomial products (mpoly.sum_of_products) run
-on lcm-scaled ints with one division per output component.  Floats appear
-only where a caller asks for them (grid evaluation, quadrature, reports).
+zero floating point noise.  Polynomials (mpoly.MPoly) do not store them: they
+keep one denominator and integer components, and make Quaternions only for
+their terms view.  Floats appear only where a caller asks for them (grid
+evaluation, quadrature, reports).
 
 Units follow the convention e1*e2 = e3, e2*e3 = e1, e3*e1 = e2 and
 e_i^2 = -1.  The reduced subspace span{1, e1, e2} is where all basis

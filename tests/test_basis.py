@@ -14,6 +14,7 @@ from monokit.basis import (BETA_VARIANTS, BasisIndex, axial_closed_form,
                            spherical_monogenic)
 from monokit.moments import norm_sq_ball, norm_sq_sphere
 from monokit.mpoly import MPoly, X0, X1, X2
+from monokit.quadrature import QuadratureRule, sc_inner_product_S
 from monokit.quaternion import E1, E2
 
 
@@ -162,6 +163,9 @@ def test_axial_closed_form_agreement():
     assert axial_closed_form(2, 1, "proof-bare") != spherical_monogenic(2, "X", 1).poly
 
 
-def test_norm_sqrt_wrapper():
-    e = spherical_monogenic(2, "X", 1)
-    assert abs(float(e.norm_S) ** 2 - float(e.norm_sq_S) * math.pi) < 1e-12
+def test_norm_S_matches_the_quadrature_norm():
+    for n in range(7):
+        rule = QuadratureRule.for_degree(2 * n)
+        for e in basis_for_degree(n):
+            quadrature = math.sqrt(sc_inner_product_S(e.poly, e.poly, rule))
+            assert e.norm_S == pytest.approx(quadrature, rel=1e-13, abs=0)

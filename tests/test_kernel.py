@@ -1,6 +1,8 @@
-"""The integer polynomial product kernel against the term-by-term Quaternion loop."""
+"""The integer polynomial product kernel against the term-by-term Quaternion loop,
+and the canonical integer form every MPoly is stored in."""
 
 import doctest
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ import monokit.mpoly
 import monokit.quaternion
 from monokit.basis import basis_for_degree
 from monokit.fueter import fueter_power, taylor_coefficients, taylor_reconstruct
-from monokit.mpoly import MPoly, Z1, Z2, integer_terms, sum_of_products
+from monokit.mpoly import MPoly, Z1, Z2, sum_of_products
 from monokit.quaternion import E1, E2, E3, Quaternion
 
 repeatable = settings(derandomize=True, database=None, deadline=None)
@@ -21,6 +23,7 @@ quaternions = st.builds(Quaternion, fractions, fractions, fractions, fractions)
 exponents = st.tuples(*[st.integers(0, 3)] * 3)
 polys = st.dictionaries(exponents, quaternions, max_size=6).map(MPoly)
 reals = st.integers(-30, 30) | fractions
+nonzero_reals = reals.filter(bool)
 
 
 def _reference_product(f: MPoly, g: MPoly) -> MPoly:
@@ -78,7 +81,7 @@ def test_sum_of_products_rescales_pairs_of_different_denominators():
                (0, 0, 2): E3 * Fraction(7, 11)})
     pairs = [(f, g), (g, f), (g, g), (MPoly.scalar(E1), Z1 * Fraction(1, 9)),
              (Z2, MPoly.scalar(E2))]
-    assert len({integer_terms(a)[0] * integer_terms(b)[0] for a, b in pairs}) == 4
+    assert len({a.den * b.den for a, b in pairs}) == 4
     want = MPoly.zero()
     for a, b in pairs:
         want = want + _reference_product(a, b)
@@ -87,13 +90,63 @@ def test_sum_of_products_rescales_pairs_of_different_denominators():
     assert sum_of_products([(f, MPoly.zero())]) == MPoly.zero()
 
 
-def test_integer_terms_scale_by_the_lcm():
+def test_stored_form_scales_by_the_lcm():
     f = MPoly({(0, 0, 0): Quaternion(Fraction(1, 4), 0, Fraction(-1, 6), 0),
-               (2, 0, 1): Quaternion(0, 0, 0, 3)})
-    d, terms = integer_terms(f)
-    assert d == 12
-    assert sorted(terms) == [((0, 0, 0), [3, 0, -2, 0]), ((2, 0, 1), [0, 0, 0, 36])]
-    assert integer_terms(MPoly.zero()) == (1, [])
+               (2, 0, 1): Quaternion(0, 0, 0, 3), (1, 1, 1): Quaternion()})
+    assert f.den == 12
+    assert sorted(f.ints.items()) == [((0, 0, 0), [3, 0, -2, 0]), ((2, 0, 1), [0, 0, 0, 36])]
+    assert (MPoly.zero().den, MPoly.zero().ints) == (1, {})
+    assert (f - f).den == 1 and not (f - f).ints
+
+
+def _assert_canonical(p: MPoly) -> None:
+    assert p.den > 0
+    assert math.gcd(p.den, *(x for comps in p.ints.values() for x in comps)) == 1
+    assert all(len(comps) == 4 and any(comps) for comps in p.ints.values())
+    assert all(coeff for coeff in p.terms.values())
+    assert MPoly(p.terms) == p
+
+
+@repeatable
+@given(polys, polys, quaternions, nonzero_reals)
+def test_every_operation_returns_the_canonical_form(f, g, q, c):
+    for p in (f, g, f + g, f - g, -f, f * g, q * f, f * q, c * f, f / c, f.conjugate(),
+              f.dirac(), f.dirac_bar(), f.laplacian(), *(f.partial(i) for i in range(3))):
+        _assert_canonical(p)
+    for a, b in ((f, g), (f, MPoly(f.terms)), (f + g - g, f), (f * 0, MPoly.zero())):
+        assert (a == b) == (dict(a.terms) == dict(b.terms))
+    assert (f / c).terms == {exp: coeff / c for exp, coeff in f.terms.items()}
+
+
+def test_division_by_zero_raises_and_negative_divisors_keep_den_positive():
+    f = Z1 * Fraction(3, 4)
+    for zero in (0, Fraction(0)):
+        for p in (f, MPoly.zero()):
+            with pytest.raises(ZeroDivisionError):
+                p / zero
+    for divisor in (-3, Fraction(-2, 9)):
+        quotient = f / divisor
+        assert quotient.den > 0
+        assert quotient == MPoly({exp: coeff / divisor for exp, coeff in f.terms.items()})
+    with pytest.raises(TypeError):
+        f.terms[(0, 1, 0)] = Quaternion(1)
+
+
+def _assert_floats_match_the_view(p: MPoly) -> None:
+    assert p.float_terms() == [(e, c.to_floats()) for e, c in p.sorted_terms()]
+
+
+@repeatable
+@given(polys)
+def test_float_terms_equal_the_view_floats_bit_for_bit(f):
+    _assert_floats_match_the_view(f)
+    _assert_floats_match_the_view(f * Fraction(1, 7) + f.dirac())
+
+
+def test_basis_float_terms_equal_the_view_floats_bit_for_bit():
+    for n in range(13):
+        for element in basis_for_degree(n):
+            _assert_floats_match_the_view(element.poly)
 
 
 def test_taylor_reconstruct_matches_the_additive_loop():
