@@ -32,5 +32,5 @@ print("\nround trip: reconstruction == original (exact) ->", rebuilt == element.
 
 # The expansion is graded: a degree-n polynomial uses exactly n + 1 powers.
 for n in range(6):
-    count = len(taylor_coefficients(spherical_monogenic(n, "X", 1).poly).coeffs)
+    count = len(taylor_coefficients(spherical_monogenic(n, "X", 1).poly))
     print(f"degree {n}: {count} Taylor coefficients")

@@ -15,7 +15,7 @@ from .bohr import (BohrReport, BoundCheckReport, bohr_radius, coefficient_domina
                    empirical_bohr_sum, empirical_bohr_sweep, random_test_function,
                    series_f1_threshold, series_f2_threshold, series_s1, series_s2,
                    verify_corollary_bounds, verify_pointwise_bounds)
-from .fueter import TaylorCoeffs, fueter_power, taylor_coefficients, taylor_reconstruct
+from .fueter import fueter_power, taylor_coefficients, taylor_reconstruct
 from .legendre import assoc_body, assoc_legendre_float, legendre_coeffs
 from .moments import (ball_moment, inner_ball, inner_ball_h, inner_sphere,
                       inner_sphere_h, norm_sq_ball, norm_sq_sphere, sphere_moment)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisElement", "BasisIndex", "BohrReport", "BoundCheckReport", "E1", "E2", "E3",
-    "FourierCoeffs", "MPoly", "ONE", "QuadratureRule", "Quaternion", "TaylorCoeffs",
+    "FourierCoeffs", "MPoly", "ONE", "QuadratureRule", "Quaternion",
     "X0", "X1", "X2", "Z1", "Z2", "ZERO",
     "assoc_body", "assoc_legendre_float", "ball_moment", "basis_for_degree",
     "bohr_radius", "coefficient_domination", "degree_indices", "empirical_bohr_sum",

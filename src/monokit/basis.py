@@ -281,6 +281,12 @@ def beta_coefficient(n: int, l: int, k: int, variant: str) -> Fraction | None:
     raise ValueError(f"unknown beta variant {variant!r}")
 
 
+def beta_table(n: int, l: int, variant: str) -> list[Fraction] | None:
+    """beta_{n+1,l,k} for k = 0..(n+1-l)//2, or None when the variant leaves one undefined."""
+    table = [beta_coefficient(n, l, k, variant) for k in range((n + 1 - l) // 2 + 1)]
+    return None if None in table else table
+
+
 def axial_closed_form(n: int, l: int, variant: str = "binomial-falling") -> MPoly | None:
     """The printed component-wise expansion of r^n X^l_n, per beta variant.
 
@@ -291,25 +297,19 @@ def axial_closed_form(n: int, l: int, variant: str = "binomial-falling") -> MPol
     if not 0 <= l <= n + 1:
         raise ValueError(f"order {l} out of range at degree {n}")
 
-    def beta(k: int) -> Fraction | None:
-        return beta_coefficient(n, l, k, variant)
-
+    beta = beta_table(n, l, variant)
+    if beta is None:
+        return None
     cos_l = _complex_power_parts(l)[0]  # r^l cos(l phi)
     dcos_x1 = cos_l.partial(1)
     dcos_x2 = cos_l.partial(2)
 
     comp0 = MPoly.zero()
     for k in range((n - l) // 2 + 1):
-        b = beta(k)
-        if b is None:
-            return None
-        comp0 = comp0 + b * (n + 1 - 2 * k - l) * MPoly.monomial((n - 2 * k - l, 0, 0)) \
+        comp0 = comp0 + beta[k] * (n + 1 - 2 * k - l) * MPoly.monomial((n - 2 * k - l, 0, 0)) \
             * _radius_sq_power(k) * cos_l
     for k in range(1, (n + 1 - l) // 2 + 1):
-        b = beta(k)
-        if b is None:
-            return None
-        comp0 = comp0 + b * (2 * k) * MPoly.monomial((n + 2 - 2 * k - l, 0, 0)) \
+        comp0 = comp0 + beta[k] * (2 * k) * MPoly.monomial((n + 2 - 2 * k - l, 0, 0)) \
             * _radius_sq_power(k - 1) * cos_l
 
     comp1 = MPoly.zero()
@@ -317,17 +317,11 @@ def axial_closed_form(n: int, l: int, variant: str = "binomial-falling") -> MPol
     x1 = MPoly.monomial((0, 1, 0))
     x2 = MPoly.monomial((0, 0, 1))
     for k in range(1, (n + 1 - l) // 2 + 1):
-        b = beta(k)
-        if b is None:
-            return None
-        common = b * (2 * k) * MPoly.monomial((n + 1 - 2 * k - l, 0, 0)) * _radius_sq_power(k - 1)
+        common = beta[k] * (2 * k) * MPoly.monomial((n + 1 - 2 * k - l, 0, 0)) * _radius_sq_power(k - 1)
         comp1 = comp1 - common * x1 * cos_l
         comp2 = comp2 - common * x2 * cos_l
     for k in range((n + 1 - l) // 2 + 1):
-        b = beta(k)
-        if b is None:
-            return None
-        common = b * MPoly.monomial((n + 1 - 2 * k - l, 0, 0)) * _radius_sq_power(k)
+        common = beta[k] * MPoly.monomial((n + 1 - 2 * k - l, 0, 0)) * _radius_sq_power(k)
         comp1 = comp1 - common * dcos_x1
         comp2 = comp2 - common * dcos_x2
     e1 = MPoly.scalar(Quaternion(0, 1))

@@ -15,7 +15,10 @@ independent oracle.
 
 The verify_* functions sweep the coefficient and pointwise inequalities
 (Taylor-coefficient bounds, pointwise polynomial bounds, scalar-part
-bounds) and report the worst observed/allowed ratio per claim.
+bounds) and report the worst observed/allowed ratio per claim.  Each sweep,
+the empirical one too, only generates (ratio, samples, case) triples; one
+fold, _sweep, builds every report.  A bound sweep passes at a maximum of
+at most 1 + RATIO_SLACK, the empirical sweep only strictly below 1.
 
 The empirical sweep draws each random admissible f as a coefficient vector
 over the basis; no polynomial is built or expanded per function.  Its
@@ -25,12 +28,12 @@ theta-phi grids stay factored (columns cos, sin theta; a phi row) for eval_terms
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .basis import basis_elements, basis_for_degree, sc_norm_sq_closed, spherical_monogenic
+from .basis import basis_elements, basis_for_degree, sc_norm_sq_closed
 from .fueter import taylor_coefficients
 from .legendre import double_factorial
 from .mpoly import eval_terms
@@ -182,33 +185,31 @@ class BoundCheckReport:
     worst_case: dict = field(default_factory=dict)
     samples: int = 0
     tight_cases: list = field(default_factory=list)
-    # (ratio, case) of the cases within RATIO_SLACK of max_ratio, earliest first
-    near_max: list = field(default_factory=list, init=False, repr=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "proposition": self.proposition,
-            "degree_range": list(self.degree_range),
-            "max_ratio": self.max_ratio,
-            "passed": self.passed,
-            "worst_case": self.worst_case,
-            "samples": self.samples,
-            "tight_cases": self.tight_cases,
-        }
+        return {**asdict(self), "degree_range": list(self.degree_range)}
 
 
 RATIO_SLACK = 1e-12
 
 
-def _track(report: BoundCheckReport, ratio: float, case: dict):
-    """Fold in one case; the witness is the earliest case within RATIO_SLACK of the maximum."""
-    report.max_ratio = max(report.max_ratio, ratio)
-    report.near_max = [(r, c) for r, c in report.near_max + [(ratio, case)]
-                       if r >= report.max_ratio - RATIO_SLACK]
-    if report.near_max:
-        report.worst_case = report.near_max[0][1]
-    if abs(ratio - 1.0) <= RATIO_SLACK:
-        report.tight_cases.append(case)
+def _sweep(proposition: str, degree_range: tuple[int, int], cases,
+           passes=lambda max_ratio: max_ratio <= 1.0 + RATIO_SLACK) -> BoundCheckReport:
+    """Fold (ratio, samples, case) triples, in order, into a finished report.
+
+    Cases within RATIO_SLACK of 1 are tight; the witness is the earliest case
+    within RATIO_SLACK of the maximum, and an empty sweep has none.
+    """
+    max_ratio, samples, tight_cases = 0.0, 0, []
+    at_max = []  # (ratio, case) within RATIO_SLACK of the running maximum
+    for ratio, count, case in cases:
+        max_ratio = max(max_ratio, ratio)
+        samples += count
+        at_max = [(r, c) for r, c in at_max + [(ratio, case)] if r >= max_ratio - RATIO_SLACK]
+        if abs(ratio - 1.0) <= RATIO_SLACK:
+            tight_cases.append(case)
+    return BoundCheckReport(proposition, degree_range, max_ratio, passes(max_ratio),
+                            at_max[0][1] if at_max else {}, samples, tight_cases)
 
 
 def corollary_coefficient_bound(n: int, m: int, gamma: tuple[int, int]) -> float:
@@ -224,18 +225,11 @@ def corollary_coefficient_bound(n: int, m: int, gamma: tuple[int, int]) -> float
 
 def verify_corollary_bounds(n_max: int) -> BoundCheckReport:
     """Exact Taylor coefficients against the printed coefficient bounds."""
-    report = BoundCheckReport("taylor-coefficient-bounds", (0, n_max), 0.0, True)
-    for n in range(n_max + 1):
-        for element in basis_for_degree(n):
-            tc = taylor_coefficients(element.poly)
-            for gamma, c in tc.items():
-                bound = corollary_coefficient_bound(n, element.index.m, gamma)
-                ratio = c.abs_float() / bound
-                report.samples += 1
-                _track(report, ratio,
-                       {"n": n, "index": element.index.label, "gamma": list(gamma)})
-    report.passed = report.max_ratio <= 1.0 + RATIO_SLACK
-    return report
+    return _sweep("taylor-coefficient-bounds", (0, n_max), (
+        (c.abs_float() / corollary_coefficient_bound(n, e.index.m, gamma), 1,
+         {"n": n, "index": e.index.label, "gamma": list(gamma)})
+        for n in range(n_max + 1) for e in basis_for_degree(n)
+        for gamma, c in taylor_coefficients(e.poly).items()))
 
 
 def pointwise_polynomial_bound(n: int, m: int) -> float:
@@ -266,49 +260,37 @@ def verify_pointwise_bounds(n_max: int, n_samples: int = 10_000,
     ball = _sphere_points(rng, n_samples) * (rng.random(n_samples) ** (1.0 / 3.0))[:, None]
     sphere = _sphere_points(rng, n_samples)
     r_ball = np.linalg.norm(ball, axis=1)
-
-    poly_report = BoundCheckReport("pointwise-polynomial-bounds", (0, n_max), 0.0, True)
-    for n in range(n_max + 1):
-        for element in basis_for_degree(n):
-            values = element.poly.eval_grid(ball[:, 0], ball[:, 1], ball[:, 2])
-            moduli = np.sqrt((values ** 2).sum(axis=-1))
-            bound = pointwise_polynomial_bound(n, element.index.m) * r_ball ** n
-            ratio = float(np.max(moduli / bound))
-            poly_report.samples += n_samples
-            _track(poly_report, ratio, {"n": n, "index": element.index.label})
-    poly_report.passed = poly_report.max_ratio <= 1.0 + RATIO_SLACK
-
-    sc_report = BoundCheckReport("scalar-part-bounds", (0, n_max), 0.0, True)
-    for n in range(n_max + 1):
-        for element in basis_for_degree(n):
-            if element.index.m > n:
-                continue  # the order-(n+1) scalar parts vanish identically
-            values = element.poly.eval_grid(sphere[:, 0], sphere[:, 1], sphere[:, 2])
-            observed = float(np.max(np.abs(values[..., 0])))
-            if n == 0:
-                observed = max(observed, abs(float(element.poly.coefficient((0, 0, 0)).a)))
-            bound = 0.5 * math.factorial(n + 1 + element.index.m) / math.factorial(n)
-            ratio = observed / bound
-            sc_report.samples += n_samples
-            _track(sc_report, ratio, {"n": n, "index": element.index.label})
-    sc_report.passed = sc_report.max_ratio <= 1.0 + RATIO_SLACK
-
-    const_report = BoundCheckReport("constants-e1-scalar-bounds", (0, n_max), 0.0, True)
     equator = np.stack([np.zeros(360), np.cos(np.linspace(0, 2 * np.pi, 360, endpoint=False)),
                         np.sin(np.linspace(0, 2 * np.pi, 360, endpoint=False))], axis=1)
-    pts = np.concatenate([sphere, equator])
-    for n in range(n_max + 1):
-        for kind in ("X", "Y"):
-            poly = spherical_monogenic(n, kind, n + 1).poly
-            values = poly.eval_grid(pts[:, 0], pts[:, 1], pts[:, 2])
-            observed = float(np.max(np.abs(values[..., 1])))  # Sc(f e1) = -f_1
-            bound = 0.5 * (n + 1) * double_factorial(2 * n + 1)
-            ratio = observed / bound
-            const_report.samples += len(pts)
-            _track(const_report, ratio, {"n": n, "kind": kind})
-    const_report.passed = const_report.max_ratio <= 1.0 + RATIO_SLACK
+    with_equator = np.concatenate([sphere, equator])
+    elements = [(n, e) for n in range(n_max + 1) for e in basis_for_degree(n)]
 
-    return {"polynomial": poly_report, "scalar-part": sc_report, "constants-e1": const_report}
+    def ball_ratio(n, e):
+        moduli = np.sqrt((e.poly.eval_grid(*ball.T) ** 2).sum(axis=-1))
+        bound = pointwise_polynomial_bound(n, e.index.m) * r_ball ** n
+        return float(np.max(moduli / bound))
+
+    def sc_ratio(n, e):
+        observed = float(np.max(np.abs(e.poly.eval_grid(*sphere.T)[..., 0])))
+        return observed / (0.5 * math.factorial(n + 1 + e.index.m) / math.factorial(n))
+
+    def constants_ratio(n, e):  # Sc(f e1) = -f_1
+        observed = float(np.max(np.abs(e.poly.eval_grid(*with_equator.T)[..., 1])))
+        return observed / (0.5 * (n + 1) * double_factorial(2 * n + 1))
+
+    degrees = (0, n_max)
+    return {
+        "polynomial": _sweep("pointwise-polynomial-bounds", degrees, (
+            (ball_ratio(n, e), n_samples, {"n": n, "index": e.index.label})
+            for n, e in elements)),
+        # the order-(n+1) scalar parts vanish identically
+        "scalar-part": _sweep("scalar-part-bounds", degrees, (
+            (sc_ratio(n, e), n_samples, {"n": n, "index": e.index.label})
+            for n, e in elements if e.index.m <= n)),
+        "constants-e1": _sweep("constants-e1-scalar-bounds", degrees, (
+            (constants_ratio(n, e), len(with_equator), {"n": n, "kind": e.index.kind})
+            for n, e in elements if e.index.m == n + 1)),
+    }
 
 
 def verify_sc_ratio_lemmas(k_max: int) -> BoundCheckReport:
@@ -320,22 +302,20 @@ def verify_sc_ratio_lemmas(k_max: int) -> BoundCheckReport:
     """
     from .legendre import assoc_legendre_float
 
-    report = BoundCheckReport("scalar-ratio-lemmas", (0, k_max), 0.0, True)
     t = np.linspace(-1.0, 1.0, 20001)
-    for k in range(k_max + 1):
-        for m in range(k + 1):
-            sup_sc = (k + 1 + m) / 2.0 * float(np.max(np.abs(assoc_legendre_float(k, m, t))))
-            norm_sq = float(sc_norm_sq_closed(k, m)) * math.pi
-            if m == 0:
-                bound = (2 * k + 1) / (2.0 * math.pi * (k + 1))
-            else:
-                bound = ((2 * k + 1) * math.factorial(k - m)
-                         / (math.pi * (k + 1 + m) * math.factorial(k)))
-            ratio = (sup_sc / norm_sq) / bound
-            report.samples += 1
-            _track(report, ratio, {"k": k, "m": m})
-    report.passed = report.max_ratio <= 1.0 + RATIO_SLACK
-    return report
+
+    def ratio(k: int, m: int) -> float:
+        sup_sc = (k + 1 + m) / 2.0 * float(np.max(np.abs(assoc_legendre_float(k, m, t))))
+        norm_sq = float(sc_norm_sq_closed(k, m)) * math.pi
+        if m == 0:
+            bound = (2 * k + 1) / (2.0 * math.pi * (k + 1))
+        else:
+            bound = ((2 * k + 1) * math.factorial(k - m)
+                     / (math.pi * (k + 1 + m) * math.factorial(k)))
+        return (sup_sc / norm_sq) / bound
+
+    return _sweep("scalar-ratio-lemmas", (0, k_max), (
+        (ratio(k, m), 1, {"k": k, "m": m}) for k in range(k_max + 1) for m in range(k + 1)))
 
 
 def verify_constants_ratio_lemma(k_max: int) -> BoundCheckReport:
@@ -345,15 +325,14 @@ def verify_constants_ratio_lemma(k_max: int) -> BoundCheckReport:
     of cos^2(k phi) jumps from 1/2 to 1 there); the report keeps k = 0 as a
     separate documented entry instead of including it in the pass flag.
     """
-    report = BoundCheckReport("constants-ratio-lemma", (1, k_max), 0.0, True)
-    for k in range(1, k_max + 1):
+    def ratio(k: int) -> float:
         sup_sc = 0.5 * (k + 1) * double_factorial(2 * k + 1)
         norm_sq = math.pi * (k + 1) ** 2 * math.factorial(2 * k + 1) / 2.0
         bound = 2.0 / (math.pi * 2 ** k * math.factorial(k + 1))
-        ratio = (sup_sc / norm_sq) / bound
-        report.samples += 1
-        _track(report, ratio, {"k": k})
-    report.passed = report.max_ratio <= 1.0 + RATIO_SLACK
+        return (sup_sc / norm_sq) / bound
+
+    report = _sweep("constants-ratio-lemma", (1, k_max),
+                    ((ratio(k), 1, {"k": k}) for k in range(1, k_max + 1)))
     k0_ratio = (0.5 / math.pi) / (2.0 / math.pi)
     report.worst_case.setdefault("k0_note", f"k=0 X-branch ratio {k0_ratio} vs printed bound 1")
     return report
@@ -418,12 +397,8 @@ def empirical_bohr_sum(coeffs: FourierCoeffs, r: float) -> float:
 
 def empirical_bohr_sweep(count: int, r: float = 0.049, seed: int = 2024,
                          max_degree: int = 5) -> BoundCheckReport:
-    """Generate `count` admissible functions and check the block-moduli sum at r."""
+    """Generate `count` admissible functions; each block-moduli sum at r must stay below 1."""
     rng = np.random.default_rng(seed)
-    report = BoundCheckReport("empirical-bohr-sum", (0, max_degree), 0.0, True)
-    for i in range(count):
-        value = empirical_bohr_sum(random_test_function(rng, max_degree), r)
-        report.samples += 1
-        _track(report, value, {"function": i})
-    report.passed = report.max_ratio < 1.0
-    return report
+    return _sweep("empirical-bohr-sum", (0, max_degree), (
+        (empirical_bohr_sum(random_test_function(rng, max_degree), r), 1, {"function": i})
+        for i in range(count)), passes=lambda max_ratio: max_ratio < 1.0)

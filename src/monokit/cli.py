@@ -11,7 +11,7 @@ Subcommands:
 Machine-readable output goes to stdout (or --output); PASS/FAIL summary
 lines go to stderr.  Identical (command, flags, seed) produce identical
 output bytes.  Exit status: 0 all invoked checks pass, 1 a check failed,
-2 configuration error.
+2 configuration error (an unwritable --output or --golden-dir included).
 """
 
 from __future__ import annotations
@@ -97,7 +97,10 @@ def render(doc: dict, fmt: str) -> str:
 def emit(doc: dict, args) -> None:
     text = render(doc, args.format)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -131,8 +134,8 @@ def cmd_check(args) -> int:
     if args.max_degree < 0:
         raise ConfigError("--max-degree must be >= 0")
     run_gram = args.gram or not args.bounds
-    bounds = args.bounds or (["corollary", "pointwise", "sc", "constants"]
-                             if not args.gram else [])
+    families = report_mod.POINTWISE_FAMILIES
+    bounds = args.bounds or (["corollary", *families] if not args.gram else [])
     doc = {"schema": report_mod.SCHEMA, "command": "check",
            "config": {"max_degree": args.max_degree, "tolerance": args.tolerance,
                       "seed": args.seed}}
@@ -145,15 +148,14 @@ def cmd_check(args) -> int:
                     f"max deviation {gram['max_deviation']:.3e} vs {args.tolerance:.0e}")
     if bounds:
         sweeps = {}
-        if {"pointwise", "sc", "constants"} & set(bounds):
+        if families.keys() & set(bounds):
             sweeps = bohr_mod.verify_pointwise_bounds(args.max_degree, seed=args.seed)
         reports = {}
         for name in bounds:
             if name == "corollary":
                 rep = bohr_mod.verify_corollary_bounds(args.max_degree)
             else:
-                rep = sweeps[{"pointwise": "polynomial", "sc": "scalar-part",
-                              "constants": "constants-e1"}[name]]
+                rep = sweeps[families[name]]
             reports[name] = rep.to_json_dict()
             ok &= rep.passed
             status_line(rep.passed, f"bounds.{name}", f"max ratio {rep.max_ratio:.12f}")
@@ -227,12 +229,15 @@ def cmd_report(args) -> int:
         raise ConfigError("--samples and --functions must be >= 1")
     if args.golden_dir:
         golden = Path(args.golden_dir)
-        golden.mkdir(parents=True, exist_ok=True)
-        for name, table in (("axial_closed_forms.json",
-                             report_mod.axial_agreement(args.max_degree)),
-                            ("taylor_closed_forms.json",
-                             report_mod.taylor_agreement(args.max_degree))):
-            (golden / name).write_text(json.dumps(table, sort_keys=True, indent=2) + "\n")
+        try:
+            golden.mkdir(parents=True, exist_ok=True)
+            for name, table in (("axial_closed_forms.json",
+                                 report_mod.axial_agreement(args.max_degree)),
+                                ("taylor_closed_forms.json",
+                                 report_mod.taylor_agreement(args.max_degree))):
+                (golden / name).write_text(json.dumps(table, sort_keys=True, indent=2) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {golden}: {exc.strerror or exc}") from exc
         emit({"schema": report_mod.SCHEMA, "command": "report",
               "golden_dir": str(golden), "max_degree": args.max_degree,
               "files": ["axial_closed_forms.json", "taylor_closed_forms.json"]}, args)
@@ -275,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Gram identity and/or inequality sweeps")
     p.add_argument("--gram", action="store_true", help="check the ball Gram matrix")
     p.add_argument("--bounds", action="append", default=[],
-                   choices=("corollary", "pointwise", "sc", "constants"),
+                   choices=("corollary", *report_mod.POINTWISE_FAMILIES),
                    help="inequality family to sweep (repeatable)")
     p.add_argument("--max-degree", type=int, default=6)
     p.set_defaults(fn=cmd_check)

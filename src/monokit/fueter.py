@@ -34,27 +34,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .basis import beta_coefficient
+from .basis import beta_table
 from .mpoly import MPoly, Z1, Z2, sum_of_products
 from .quaternion import Quaternion
-
-
-@dataclass(frozen=True)
-class TaylorCoeffs:
-    """All n+1 coefficients of a homogeneous degree-n polynomial."""
-
-    n: int
-    coeffs: dict[tuple[int, int], Quaternion]
-
-    def __getitem__(self, gamma: tuple[int, int]) -> Quaternion:
-        return self.coeffs[gamma]
-
-    def items(self):
-        return sorted(self.coeffs.items())
 
 
 @lru_cache(maxsize=None)
@@ -84,19 +69,18 @@ def fueter_power_permutation_sum(g1: int, g2: int) -> MPoly:
     return total / math.comb(n, g1)
 
 
-def taylor_coefficients(f: MPoly) -> TaylorCoeffs:
-    """Exact Taylor coefficients of a homogeneous polynomial."""
+def taylor_coefficients(f: MPoly) -> dict[tuple[int, int], Quaternion]:
+    """Exact Taylor coefficients {gamma: c_gamma} of a homogeneous polynomial, gamma ascending."""
     if not f.is_homogeneous():
         raise ValueError("input must be homogeneous")
     n = max(f.degree(), 0)
     # (1/(g1! g2!)) d^g1/dx1 d^g2/dx2 f at 0 is the coefficient of x1^g1 x2^g2
-    return TaylorCoeffs(n, {(g1, n - g1): f.coefficient((0, g1, n - g1))
-                            for g1 in range(n + 1)})
+    return {(g1, n - g1): f.coefficient((0, g1, n - g1)) for g1 in range(n + 1)}
 
 
-def taylor_reconstruct(tc: TaylorCoeffs) -> MPoly:
+def taylor_reconstruct(tc: dict[tuple[int, int], Quaternion]) -> MPoly:
     return sum_of_products([(fueter_power(*gamma), MPoly.scalar(c))
-                            for gamma, c in tc.coeffs.items() if c])
+                            for gamma, c in tc.items() if c])
 
 
 def fueter_power_bound_check(g1: int, g2: int, points) -> float:
@@ -135,7 +119,7 @@ def _comb(a: int, b) -> int:
     return math.comb(a, b)
 
 
-def closed_form_taylor(n: int, l: int, variant: str = "binomial-falling") -> TaylorCoeffs | None:
+def closed_form_taylor(n: int, l: int, variant: str = "binomial-falling") -> dict | None:
     """The printed Taylor-coefficient formulas for the X family at (n, l).
 
     Evaluates the three parity-gated component sums per the given beta
@@ -145,43 +129,33 @@ def closed_form_taylor(n: int, l: int, variant: str = "binomial-falling") -> Tay
     """
     if not 0 <= l <= n + 1:
         raise ValueError(f"order {l} out of range at degree {n}")
-
-    def beta(k: int) -> Fraction | None:
-        return beta_coefficient(n, l, k, variant)
-
+    beta = beta_table(n, l, variant)
+    if beta is None:
+        return None
     out: dict[tuple[int, int], Quaternion] = {}
     for a1 in range(n + 1):
         a2 = n - a1
 
         comp0 = Fraction(0)
         if parity_gate(l, n) and parity_gate(a1, l) and parity_gate(a2, 0):
-            b = beta((n - l) // 2)
-            if b is None:
-                return None
             acc = Fraction(0)
             for j in range(l // 2 + 1):
                 acc += (-1) ** j * math.comb(l, 2 * j) * _comb((n - l) // 2, Fraction(a1 - l, 2) + j)
-            comp0 = b * acc
+            comp0 = beta[(n - l) // 2] * acc
 
         comp1 = Fraction(0)
         if parity_gate(l - 1, n) and parity_gate(l - 1, a1) and parity_gate(a2, 0):
             first = Fraction(0)
             second = Fraction(0)
             for p in range(1, (n - l + 1) // 2 + 1):
-                b = beta(p)
-                if b is None:
-                    return None
-                outer = b * 2 * p * _comb(p - 1, Fraction(l - n - 1, 2) + p)
+                outer = beta[p] * 2 * p * _comb(p - 1, Fraction(l - n - 1, 2) + p)
                 if outer:
                     inner = sum((-1) ** (j + 1) * math.comb(l, 2 * j)
                                 * _comb((n - l - 1) // 2, Fraction(a1 - l - 1, 2) + j)
                                 for j in range(l // 2 + 1))
                     first += outer * inner
             for p in range((n - l + 1) // 2 + 1):
-                b = beta(p)
-                if b is None:
-                    return None
-                outer = b * _comb(p, Fraction(l - n - 1, 2) + p)
+                outer = beta[p] * _comb(p, Fraction(l - n - 1, 2) + p)
                 if outer:
                     inner = sum((-1) ** (j + 1) * math.comb(l, 2 * j) * (l - 2 * j)
                                 * _comb((n - l + 1) // 2, Fraction(a1 - l + 1, 2) + j)
@@ -194,20 +168,14 @@ def closed_form_taylor(n: int, l: int, variant: str = "binomial-falling") -> Tay
             first = Fraction(0)
             second = Fraction(0)
             for p in range(1, (n - l + 1) // 2 + 1):
-                b = beta(p)
-                if b is None:
-                    return None
-                outer = b * 2 * p * _comb(p - 1, Fraction(l - n - 1, 2) + p)
+                outer = beta[p] * 2 * p * _comb(p - 1, Fraction(l - n - 1, 2) + p)
                 if outer:
                     inner = sum((-1) ** (j + 1) * math.comb(l, 2 * j)
                                 * _comb((n - l - 1) // 2, Fraction(a1 - l, 2) + j)
                                 for j in range(l // 2 + 1))
                     first += outer * inner
             for p in range((n - l + 1) // 2 + 1):
-                b = beta(p)
-                if b is None:
-                    return None
-                outer = b * _comb(p, Fraction(l - n - 1, 2) + p)
+                outer = beta[p] * _comb(p, Fraction(l - n - 1, 2) + p)
                 if outer:
                     inner = sum((-1) ** (j + 1) * math.comb(l, 2 * j) * (2 * j)
                                 * _comb((n - l + 1) // 2, Fraction(a1 - l, 2) + j)
@@ -216,4 +184,4 @@ def closed_form_taylor(n: int, l: int, variant: str = "binomial-falling") -> Tay
             comp2 = first + second
 
         out[(a1, a2)] = Quaternion(comp0, comp1, comp2, 0)
-    return TaylorCoeffs(n, out)
+    return out

@@ -41,6 +41,10 @@ SECTIONS = (
     ("bohr.empirical", "max block sum {max_ratio:.6f}"),
 )
 
+# bounds section -> verify_pointwise_bounds key, for the report and `check --bounds`
+POINTWISE_FAMILIES = {"pointwise": "polynomial", "sc": "scalar-part",
+                      "constants": "constants-e1"}
+
 
 def section_status(doc: dict) -> list[tuple[str, bool, str]]:
     """(path, passed, detail) for each entry of SECTIONS, in order."""
@@ -233,9 +237,8 @@ def build_report(max_degree: int = 6, tolerance: float = 1e-10, seed: int = 0,
         "taylor": check_taylor(max_degree),
         "bounds": {
             "corollary": bohr_mod.verify_corollary_bounds(max_degree).to_json_dict(),
-            "pointwise": pointwise["polynomial"].to_json_dict(),
-            "sc": pointwise["scalar-part"].to_json_dict(),
-            "constants": pointwise["constants-e1"].to_json_dict(),
+            **{name: pointwise[family].to_json_dict()
+               for name, family in POINTWISE_FAMILIES.items()},
             "sc_ratio_lemmas": bohr_mod.verify_sc_ratio_lemmas(max_degree).to_json_dict(),
             "constants_ratio_lemma":
                 bohr_mod.verify_constants_ratio_lemma(max_degree).to_json_dict(),

@@ -101,16 +101,31 @@ def test_coefficient_domination_validation():
 
 
 def test_witness_is_the_earliest_case_near_the_maximum():
-    from monokit.bohr import BoundCheckReport, _track
-    report = BoundCheckReport("ties", (0, 1), 0.0, True)
-    _track(report, 0.5, {"i": 0})
-    _track(report, 1.0, {"i": 1})
-    _track(report, float(np.nextafter(1.0, 2.0)), {"i": 2})  # one ulp above
+    from monokit.bohr import _sweep
+    cases = [(0.5, 1, {"i": 0}), (1.0, 1, {"i": 1}),
+             (float(np.nextafter(1.0, 2.0)), 1, {"i": 2})]  # one ulp above
+    report = _sweep("ties", (0, 1), cases)
     assert report.max_ratio == float(np.nextafter(1.0, 2.0))
     assert report.worst_case == {"i": 1}
     assert report.tight_cases == [{"i": 1}, {"i": 2}]
-    _track(report, 1.5, {"i": 3})
+    report = _sweep("ties", (0, 1), cases + [(1.5, 1, {"i": 3})])
     assert report.worst_case == {"i": 3}
+
+
+def test_sweep_pass_rules_samples_and_empty_sweep():
+    from monokit.bohr import _sweep
+    cases = [(0.25, 10, {"i": 0}), (1.0, 5, {"i": 1})]
+    default = _sweep("exact-one", (0, 1), cases)
+    assert default.passed
+    assert default.samples == 15
+    assert default.max_ratio == 1.0
+    strict = _sweep("exact-one", (0, 1), cases, passes=lambda max_ratio: max_ratio < 1.0)
+    assert not strict.passed
+    empty = _sweep("empty", (1, 0), iter(()))
+    assert empty.max_ratio == 0.0
+    assert empty.passed
+    assert empty.worst_case == {}
+    assert empty.samples == 0 and empty.tight_cases == []
 
 
 def test_corollary_bounds_sweep():

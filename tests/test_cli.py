@@ -9,7 +9,7 @@ import pytest
 import monokit
 from monokit.cli import MAX_INPUT_DEGREE, main
 from monokit.mpoly import MPoly
-from monokit.report import SECTIONS
+from monokit.report import SECTIONS, build_report
 
 
 def run(capsys, *argv):
@@ -54,6 +54,15 @@ def test_check_bounds_subset(capsys):
     doc = json.loads(out)
     assert set(doc["bounds"]) == {"corollary", "sc"}
     assert all(v["passed"] for v in doc["bounds"].values())
+
+
+def test_check_bounds_match_the_report_sections(capsys):
+    code, out, _ = run(capsys, "check", "--bounds", "pointwise", "--bounds", "sc",
+                       "--bounds", "constants", "--bounds", "corollary", "--max-degree", "3")
+    assert code == 0
+    expected = build_report(3, bohr_functions=1)["bounds"]
+    assert json.loads(out)["bounds"] == {name: expected[name]
+                                         for name in ("pointwise", "sc", "constants", "corollary")}
 
 
 def test_taylor_element(capsys):
@@ -125,11 +134,18 @@ def _monomial(degree: int) -> str:
     (["fourier"], "[" * 100_000),
     (["fourier"], _monomial(MAX_INPUT_DEGREE + 1)),
     (["fourier", "--max-degree", str(MAX_INPUT_DEGREE + 1)], _monomial(1)),
+    (["basis", "--degree", "0", "--output", "TMP/file/x.json"], None),
+    (["basis", "--degree", "0", "--output", "TMP/missing/x.json"], None),
+    (["report", "--golden-dir", "TMP/file/sub"], None),
 ], ids=["samples-0", "samples-negative", "functions-0", "functions-negative",
         "report-seed-negative", "check-seed-negative", "bohr-tolerance-0",
         "bohr-tolerance-nan", "check-tolerance-0", "deeply-nested-json",
-        "input-degree-over-cap", "max-degree-over-cap"])
+        "input-degree-over-cap", "max-degree-over-cap", "output-under-a-file",
+        "output-in-missing-dir", "golden-dir-under-a-file"])
 def test_malformed_input_exits_two(capsys, tmp_path, argv, input_text):
+    (tmp_path / "file").write_text("")  # a file where a directory is needed
+    unwritable = any("TMP" in arg for arg in argv)
+    argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
     if input_text is not None:
         path = tmp_path / "poly.json"
         path.write_text(input_text)
@@ -137,7 +153,7 @@ def test_malformed_input_exits_two(capsys, tmp_path, argv, input_text):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: cannot write " if unwritable else "error: ")
     assert "Traceback" not in err
 
 

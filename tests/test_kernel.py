@@ -154,7 +154,7 @@ def test_taylor_reconstruct_matches_the_additive_loop():
         for element in basis_for_degree(n):
             tc = taylor_coefficients(element.poly)
             want = MPoly.zero()
-            for gamma, c in tc.coeffs.items():
+            for gamma, c in tc.items():
                 if c:
                     want = want + _reference_product(fueter_power(*gamma), MPoly.scalar(c))
             assert taylor_reconstruct(tc) == want == element.poly
