@@ -2,9 +2,11 @@
 Inequality sweeps with witnessed tightness
 ==========================================
 
-The coefficient and pointwise bounds are verified by sweeping exact
-Taylor coefficients and random sample points, reporting the largest
-observed ratio bound-side / bound and the cases where it reaches 1.
+The coefficient bounds are verified over exact Taylor coefficients and
+the polynomial bound over random ball points.  The two sphere bounds check
+an exact factorization of each element's scalar part and then read one
+supremum per family.  Each sweep reports the largest ratio bound-side /
+bound and the cases where it reaches 1.
 """
 
 from monokit import verify_corollary_bounds, verify_pointwise_bounds
@@ -16,8 +18,9 @@ corollary = verify_corollary_bounds(6)
 print(f"coefficient bound, degrees 0..6: max ratio {corollary.max_ratio:.4f} "
       f"over {corollary.samples} coefficients -> passed={corollary.passed}")
 
-# Pointwise bounds on the ball: polynomial modulus, scalar part, and the
-# monogenic-constant blocks times e1, each against its own envelope.
+# Pointwise bounds: the polynomial modulus on 2,000 random ball points; the
+# scalar part and the monogenic-constant blocks times e1 on the sphere, each
+# from its exact factorization (one decided case per element).
 reports = verify_pointwise_bounds(5, n_samples=2_000, seed=7)
 for name, report in reports.items():
     print(f"\n{name}: max ratio {report.max_ratio:.6f} "
@@ -36,4 +39,4 @@ print(f"\nscalar-part ratio lemmas, degrees 0..8: max ratio {sc.max_ratio:.6f} "
 constants = verify_constants_ratio_lemma(8)
 print(f"constants ratio lemma, degrees 1..8: max ratio {constants.max_ratio:.6f} "
       f"-> passed={constants.passed}")
-print(f"  note: {constants.worst_case['k0_note']}")
+print(f"  note: {constants.note}")

@@ -8,9 +8,8 @@ associated Fourier series.
 """
 
 from .basis import (BasisElement, BasisIndex, basis_for_degree, degree_indices,
-                    monogenic_constant_eval, norm_sq_ball_closed, norm_sq_sphere_closed,
-                    sc_closed_form, sc_e1_norm_sq_closed, sc_norm_sq_closed,
-                    solid_harmonic, spherical_monogenic)
+                    norm_sq_ball_closed, norm_sq_sphere_closed, sc_e1_norm_sq_closed,
+                    sc_norm_sq_closed, solid_harmonic, spherical_monogenic)
 from .bohr import (BohrReport, BoundCheckReport, bohr_radius, coefficient_domination,
                    empirical_bohr_sum, empirical_bohr_sweep, random_test_function,
                    series_f1_threshold, series_f2_threshold, series_s1, series_s2,
@@ -36,9 +35,9 @@ __all__ = [
     "empirical_bohr_sweep", "fourier_expand", "fourier_synthesize", "fueter_power",
     "gram_matrix_ball", "gram_matrix_quaternion", "inner_ball", "inner_ball_h",
     "inner_product_B", "inner_product_S", "inner_sphere", "inner_sphere_h",
-    "legendre_coeffs", "monogenic_constant_eval", "norm_sq_ball", "norm_sq_ball_closed",
+    "legendre_coeffs", "norm_sq_ball", "norm_sq_ball_closed",
     "norm_sq_sphere", "norm_sq_sphere_closed", "random_test_function", "reduced",
-    "sc_closed_form", "sc_e1_norm_sq_closed", "sc_inner_product_S", "sc_norm_sq_closed",
+    "sc_e1_norm_sq_closed", "sc_inner_product_S", "sc_norm_sq_closed",
     "series_f1_threshold", "series_f2_threshold", "series_s1", "series_s2",
     "solid_harmonic", "spherical_monogenic", "sphere_moment", "taylor_coefficients",
     "taylor_reconstruct", "verify_corollary_bounds", "verify_pointwise_bounds",

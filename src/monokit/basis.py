@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .legendre import assoc_body, assoc_legendre_float, double_factorial, legendre_coeffs
+from .legendre import assoc_body, legendre_coeffs
 from .moments import norm_sq_sphere
 from .mpoly import MPoly
 from .quaternion import Quaternion
@@ -86,7 +86,7 @@ class BasisElement:
 # -- construction ---------------------------------------------------------------
 
 
-def _complex_power_parts(m: int) -> tuple[MPoly, MPoly]:
+def complex_power_parts(m: int) -> tuple[MPoly, MPoly]:
     """Re and Im of (x1 + i x2)^m as exact polynomials."""
     re: dict = {}
     im: dict = {}
@@ -110,15 +110,15 @@ def _radius_sq_power(k: int) -> MPoly:
 def solid_harmonic(deg: int, kind: str, m: int) -> MPoly:
     """Exact Cartesian form of r^deg U^m_deg (kind U, the cos branch) or
     r^deg V^m_deg (kind V, the sin branch), a homogeneous harmonic polynomial."""
-    if deg < 1:
-        raise ValueError(f"degree must be >= 1, got {deg}")
+    if deg < 0:
+        raise ValueError(f"degree must be >= 0, got {deg}")
     if kind not in ("U", "V"):
         raise ValueError(f"kind must be U or V, got {kind!r}")
     low = 0 if kind == "U" else 1
     if not low <= m <= deg:
         raise ValueError(f"order {m} out of range for {kind} of degree {deg}")
     body = assoc_body(deg, m)
-    re, im = _complex_power_parts(m)
+    re, im = complex_power_parts(m)
     angular = re if kind == "U" else im
     axial = MPoly.zero()
     for j, q in enumerate(body):
@@ -206,35 +206,6 @@ def sc_e1_norm_sq_closed(n: int) -> Fraction:
     return Fraction((n + 1) * math.factorial(2 * n + 2), 4)
 
 
-# -- scalar parts and monogenic constants (closed angular forms) -------------------
-
-
-def sc_closed_form(n: int, m: int, kind: str, theta, phi):
-    """Sc of X^m_n / Y^m_n on the sphere: (n+1+m)/2 * P^m_n(cos th) * cos/sin(m phi)."""
-    import numpy as np
-
-    if kind not in KINDS:
-        raise ValueError(f"kind must be X or Y, got {kind!r}")
-    t = np.cos(np.asarray(theta, dtype=float))
-    trig = np.cos if kind == "X" else np.sin
-    return (n + 1 + m) / 2.0 * assoc_legendre_float(n, m, t) * trig(m * np.asarray(phi, dtype=float))
-
-
-def monogenic_constant_eval(n: int, kind: str, theta: float, phi: float) -> tuple[float, float, float, float]:
-    """Value of X^{n+1}_n (kind X) or Y^{n+1}_n (kind Y) at a sphere point.
-
-    Uses C^{n+1,n} = ((n+1)/2) P^{n+1}_{n+1}(cos th)/sin th, which reduces to
-    ((n+1)/2)(2n+1)!! sin^n th; the reduced form is used everywhere so the
-    poles th = 0, pi need no special casing.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"kind must be X or Y, got {kind!r}")
-    c = (n + 1) / 2.0 * double_factorial(2 * n + 1) * math.sin(theta) ** n
-    if kind == "X":
-        return (0.0, -c * math.cos(n * phi), c * math.sin(n * phi), 0.0)
-    return (0.0, -c * math.sin(n * phi), -c * math.cos(n * phi), 0.0)
-
-
 # -- the axial closed-form variants (diff material, never canonical) ----------------
 
 
@@ -300,7 +271,7 @@ def axial_closed_form(n: int, l: int, variant: str = "binomial-falling") -> MPol
     beta = beta_table(n, l, variant)
     if beta is None:
         return None
-    cos_l = _complex_power_parts(l)[0]  # r^l cos(l phi)
+    cos_l = complex_power_parts(l)[0]  # r^l cos(l phi)
     dcos_x1 = cos_l.partial(1)
     dcos_x2 = cos_l.partial(2)
 

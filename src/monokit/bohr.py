@@ -20,6 +20,11 @@ the empirical one too, only generates (ratio, samples, case) triples; one
 fold, _sweep, builds every report.  A bound sweep passes at a maximum of
 at most 1 + RATIO_SLACK, the empirical sweep only strictly below 1.
 
+Only the polynomial family samples (random ball points).  The two sphere
+families check an exact factorization per element, Sc X^m_n = (n+1+m)/2 r^n
+U^m_n and (X^{n+1}_n)_1 = -(n+1)/2 (2n+1)!! Re (x1 + i x2)^n, then read one
+supremum per family, _sc_sup and _e1_sc_sup, which the ratio lemmas share.
+
 The empirical sweep draws each random admissible f as a coefficient vector
 over the basis; no polynomial is built or expanded per function.  Its
 theta-phi grids stay factored (columns cos, sin theta; a phi row) for eval_terms.
@@ -30,12 +35,14 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .basis import basis_elements, basis_for_degree, sc_norm_sq_closed
+from .basis import (basis_elements, basis_for_degree, complex_power_parts,
+                    sc_norm_sq_closed, solid_harmonic)
 from .fueter import taylor_coefficients
-from .legendre import double_factorial
+from .legendre import assoc_legendre_float, double_factorial
 from .mpoly import eval_terms
 from .quadrature import FourierCoeffs, block_terms, fourier_synthesize
 
@@ -185,9 +192,11 @@ class BoundCheckReport:
     worst_case: dict = field(default_factory=dict)
     samples: int = 0
     tight_cases: list = field(default_factory=list)
+    note: str = ""  # a case the sweep leaves out, stated in prose
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "degree_range": list(self.degree_range)}
+        doc = {**asdict(self), "degree_range": list(self.degree_range)}
+        return doc if self.note else {k: v for k, v in doc.items() if k != "note"}
 
 
 RATIO_SLACK = 1e-12
@@ -242,55 +251,77 @@ def pointwise_polynomial_bound(n: int, m: int) -> float:
     return (n + 1) * 2 ** n * math.sqrt(radicand)
 
 
-def _sphere_points(rng: np.random.Generator, count: int) -> np.ndarray:
-    direction = rng.normal(size=(count, 3))
-    return direction / np.linalg.norm(direction, axis=1, keepdims=True)
-
-
-def verify_pointwise_bounds(n_max: int, n_samples: int = 10_000,
-                            seed: int = 0) -> dict[str, BoundCheckReport]:
-    """Pointwise sweeps: polynomial moduli on the ball, scalar parts on the sphere.
-
-    Returns reports keyed 'polynomial', 'scalar-part', 'constants-e1'.  The
-    scalar-part and constants sweeps also visit the documented tight spots
-    (the degree-0 constants; the equator for the e1-multiplied family), so
-    ratio 1.0 shows up exactly there.
-    """
+def verify_polynomial_bounds(n_max: int, n_samples: int = 10_000,
+                             seed: int = 0) -> BoundCheckReport:
+    """|f(x)| <= pointwise_polynomial_bound(n, m) |x|^n for every element f at
+    n_samples random ball points, drawn from a generator seeded with seed."""
     rng = np.random.default_rng(seed)
-    ball = _sphere_points(rng, n_samples) * (rng.random(n_samples) ** (1.0 / 3.0))[:, None]
-    sphere = _sphere_points(rng, n_samples)
+    direction = rng.normal(size=(n_samples, 3))
+    ball = (direction / np.linalg.norm(direction, axis=1, keepdims=True)
+            * (rng.random(n_samples) ** (1.0 / 3.0))[:, None])
     r_ball = np.linalg.norm(ball, axis=1)
-    equator = np.stack([np.zeros(360), np.cos(np.linspace(0, 2 * np.pi, 360, endpoint=False)),
-                        np.sin(np.linspace(0, 2 * np.pi, 360, endpoint=False))], axis=1)
-    with_equator = np.concatenate([sphere, equator])
-    elements = [(n, e) for n in range(n_max + 1) for e in basis_for_degree(n)]
 
-    def ball_ratio(n, e):
+    def ratio(n, e):
         moduli = np.sqrt((e.poly.eval_grid(*ball.T) ** 2).sum(axis=-1))
         bound = pointwise_polynomial_bound(n, e.index.m) * r_ball ** n
         return float(np.max(moduli / bound))
 
-    def sc_ratio(n, e):
-        observed = float(np.max(np.abs(e.poly.eval_grid(*sphere.T)[..., 0])))
-        return observed / (0.5 * math.factorial(n + 1 + e.index.m) / math.factorial(n))
+    return _sweep("pointwise-polynomial-bounds", (0, n_max), (
+        (ratio(n, e), n_samples, {"n": n, "index": e.index.label})
+        for n in range(n_max + 1) for e in basis_for_degree(n)))
 
-    def constants_ratio(n, e):  # Sc(f e1) = -f_1
-        observed = float(np.max(np.abs(e.poly.eval_grid(*with_equator.T)[..., 1])))
-        return observed / (0.5 * (n + 1) * double_factorial(2 * n + 1))
 
-    degrees = (0, n_max)
-    return {
-        "polynomial": _sweep("pointwise-polynomial-bounds", degrees, (
-            (ball_ratio(n, e), n_samples, {"n": n, "index": e.index.label})
-            for n, e in elements)),
-        # the order-(n+1) scalar parts vanish identically
-        "scalar-part": _sweep("scalar-part-bounds", degrees, (
-            (sc_ratio(n, e), n_samples, {"n": n, "index": e.index.label})
-            for n, e in elements if e.index.m <= n)),
-        "constants-e1": _sweep("constants-e1-scalar-bounds", degrees, (
-            (constants_ratio(n, e), len(with_equator), {"n": n, "kind": e.index.kind})
-            for n, e in elements if e.index.m == n + 1)),
-    }
+@lru_cache(maxsize=None)
+def _sc_sup(n: int, m: int) -> float:
+    """sup_S |Sc X^m_n| = (n+1+m)/2 sup |P^m_n|, the maximum over 20001 t values
+    with both endpoints (a grid value, so a lower bound on the supremum)."""
+    t = np.linspace(-1.0, 1.0, 20001)
+    return (n + 1 + m) / 2.0 * float(np.max(np.abs(assoc_legendre_float(n, m, t))))
+
+
+def _e1_sc_sup(n: int) -> Fraction:
+    """sup_S |Sc(X^{n+1}_n e1)| = (n+1)/2 (2n+1)!!, attained on the equator."""
+    return Fraction(n + 1, 2) * double_factorial(2 * n + 1)
+
+
+def verify_scalar_part_bounds(n_max: int) -> BoundCheckReport:
+    """sup_S |Sc X^m_n|, sup_S |Sc Y^m_n| <= (n+1+m)!/(2 n!) for m <= n; on S,
+    r^n U^m_n (V for Y) is P^m_n(t) cos(m phi) (sin).  A failed identity gives inf."""
+    def ratio(n, e):
+        m = e.index.m
+        harmonic = solid_harmonic(n, "U" if e.index.kind == "X" else "V", m)
+        if e.poly.sc() != Fraction(n + 1 + m, 2) * harmonic:
+            return math.inf
+        return _sc_sup(n, m) / (0.5 * math.factorial(n + 1 + m) / math.factorial(n))
+
+    return _sweep("scalar-part-bounds", (0, n_max), (
+        (ratio(n, e), 1, {"n": n, "index": e.index.label})
+        for n in range(n_max + 1) for e in basis_for_degree(n) if e.index.m <= n))
+
+
+def verify_constants_e1_bounds(n_max: int) -> BoundCheckReport:
+    """sup_S |Sc(X^{n+1}_n e1)|, same for Y, <= (n+1)/2 (2n+1)!!, with Sc(f e1) = -f_1.
+    On S, Re (x1 + i x2)^n is sin^n(theta) cos(n phi) (Im: sin), and Im is 0 at
+    n = 0.  A failed identity gives inf."""
+    def ratio(n, e):
+        angular = complex_power_parts(n)[e.index.kind == "Y"]
+        if e.poly.component(1) != -_e1_sc_sup(n) * angular:
+            return math.inf
+        sup = 0.0 if angular.is_zero() else float(_e1_sc_sup(n))
+        return sup / (0.5 * (n + 1) * double_factorial(2 * n + 1))
+
+    return _sweep("constants-e1-scalar-bounds", (0, n_max), (
+        (ratio(n, e), 1, {"n": n, "kind": e.index.kind})
+        for n in range(n_max + 1) for e in basis_for_degree(n) if e.index.m == n + 1))
+
+
+def verify_pointwise_bounds(n_max: int, n_samples: int = 10_000,
+                            seed: int = 0) -> dict[str, BoundCheckReport]:
+    """The three pointwise families, keyed 'polynomial', 'scalar-part' and
+    'constants-e1'; only the polynomial family samples (n_samples ball points)."""
+    return {"polynomial": verify_polynomial_bounds(n_max, n_samples, seed),
+            "scalar-part": verify_scalar_part_bounds(n_max),
+            "constants-e1": verify_constants_e1_bounds(n_max)}
 
 
 def verify_sc_ratio_lemmas(k_max: int) -> BoundCheckReport:
@@ -298,21 +329,16 @@ def verify_sc_ratio_lemmas(k_max: int) -> BoundCheckReport:
 
     m = 0 row: <= (1/(2 pi)) (2k+1)/(k+1); m = 1..k rows: <= (1/pi)
     (2k+1)(k-m)!/((k+1+m) k!).  The supremum of |Sc X^m_k| is (n+1+m)/2
-    times the maximum of |P^m_k|, evaluated on a fine t-grid plus endpoints.
+    times the maximum of |P^m_k|, _sc_sup.
     """
-    from .legendre import assoc_legendre_float
-
-    t = np.linspace(-1.0, 1.0, 20001)
-
     def ratio(k: int, m: int) -> float:
-        sup_sc = (k + 1 + m) / 2.0 * float(np.max(np.abs(assoc_legendre_float(k, m, t))))
         norm_sq = float(sc_norm_sq_closed(k, m)) * math.pi
         if m == 0:
             bound = (2 * k + 1) / (2.0 * math.pi * (k + 1))
         else:
             bound = ((2 * k + 1) * math.factorial(k - m)
                      / (math.pi * (k + 1 + m) * math.factorial(k)))
-        return (sup_sc / norm_sq) / bound
+        return (_sc_sup(k, m) / norm_sq) / bound
 
     return _sweep("scalar-ratio-lemmas", (0, k_max), (
         (ratio(k, m), 1, {"k": k, "m": m}) for k in range(k_max + 1) for m in range(k + 1)))
@@ -322,19 +348,18 @@ def verify_constants_ratio_lemma(k_max: int) -> BoundCheckReport:
     """sup |Sc(X^{k+1}_k e1)| / ||...||^2 <= (2/pi) / (2^k (k+1)!) for k >= 1.
 
     At k = 0 the printed right side is below the true ratio (the phi-average
-    of cos^2(k phi) jumps from 1/2 to 1 there); the report keeps k = 0 as a
-    separate documented entry instead of including it in the pass flag.
+    of cos^2(k phi) jumps from 1/2 to 1 there); the report keeps k = 0 out of
+    the pass flag and states it in its note instead.
     """
     def ratio(k: int) -> float:
-        sup_sc = 0.5 * (k + 1) * double_factorial(2 * k + 1)
         norm_sq = math.pi * (k + 1) ** 2 * math.factorial(2 * k + 1) / 2.0
         bound = 2.0 / (math.pi * 2 ** k * math.factorial(k + 1))
-        return (sup_sc / norm_sq) / bound
+        return (float(_e1_sc_sup(k)) / norm_sq) / bound
 
     report = _sweep("constants-ratio-lemma", (1, k_max),
                     ((ratio(k), 1, {"k": k}) for k in range(1, k_max + 1)))
     k0_ratio = (0.5 / math.pi) / (2.0 / math.pi)
-    report.worst_case.setdefault("k0_note", f"k=0 X-branch ratio {k0_ratio} vs printed bound 1")
+    report.note = f"k=0 X-branch ratio {k0_ratio} vs printed bound 1"
     return report
 
 

@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -133,33 +134,27 @@ def cmd_basis(args) -> int:
 def cmd_check(args) -> int:
     if args.max_degree < 0:
         raise ConfigError("--max-degree must be >= 0")
+    n = args.max_degree
+    sweeps = {"corollary": lambda: bohr_mod.verify_corollary_bounds(n),
+              "pointwise": lambda: bohr_mod.verify_polynomial_bounds(n, seed=args.seed),
+              "sc": lambda: bohr_mod.verify_scalar_part_bounds(n),
+              "constants": lambda: bohr_mod.verify_constants_e1_bounds(n)}
     run_gram = args.gram or not args.bounds
-    families = report_mod.POINTWISE_FAMILIES
-    bounds = args.bounds or (["corollary", *families] if not args.gram else [])
+    bounds = args.bounds or ([] if args.gram else list(sweeps))
     doc = {"schema": report_mod.SCHEMA, "command": "check",
-           "config": {"max_degree": args.max_degree, "tolerance": args.tolerance,
-                      "seed": args.seed}}
+           "config": {"max_degree": n, "tolerance": args.tolerance, "seed": args.seed}}
     ok = True
     if run_gram:
-        gram = report_mod.check_gram(args.max_degree, args.tolerance)
+        gram = report_mod.check_gram(n, args.tolerance)
         doc["gram"] = gram
         ok &= gram["passed"]
         status_line(gram["passed"], "gram",
                     f"max deviation {gram['max_deviation']:.3e} vs {args.tolerance:.0e}")
-    if bounds:
-        sweeps = {}
-        if families.keys() & set(bounds):
-            sweeps = bohr_mod.verify_pointwise_bounds(args.max_degree, seed=args.seed)
-        reports = {}
-        for name in bounds:
-            if name == "corollary":
-                rep = bohr_mod.verify_corollary_bounds(args.max_degree)
-            else:
-                rep = sweeps[families[name]]
-            reports[name] = rep.to_json_dict()
-            ok &= rep.passed
-            status_line(rep.passed, f"bounds.{name}", f"max ratio {rep.max_ratio:.12f}")
-        doc["bounds"] = reports
+    for name in bounds:  # only the families asked for run
+        rep = sweeps[name]()
+        doc.setdefault("bounds", {})[name] = rep.to_json_dict()
+        ok &= rep.passed
+        status_line(rep.passed, f"bounds.{name}", f"max ratio {rep.max_ratio:.12f}")
     doc["passed"] = ok
     emit(doc, args)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -308,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="full verification document")
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--samples", type=int, default=10_000,
-                   help="pointwise sweep sample count (default 10000)")
+                   help="ball points of the polynomial sweep (default 10000)")
     p.add_argument("--functions", type=int, default=100,
                    help="empirical radius-test function count (default 100)")
     p.add_argument("--golden-dir", metavar="DIR", default=None,
@@ -326,6 +321,11 @@ def main(argv=None) -> int:
             raise ConfigError("--seed must be >= 0")
         if not args.tolerance > 0:
             raise ConfigError("--tolerance must be > 0")
+        if args.output:
+            parent = Path(args.output).parent
+            if not (parent.is_dir() and os.access(parent, os.W_OK)):
+                raise ConfigError(f"cannot write {args.output}:"
+                                  f" {parent} is not a writable directory")
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

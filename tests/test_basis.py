@@ -8,10 +8,10 @@ import pytest
 
 from monokit.basis import (BETA_VARIANTS, BasisIndex, axial_closed_form,
                            basis_for_degree, beta_coefficient, degree_indices,
-                           monogenic_constant_eval, norm_sq_ball_closed,
-                           norm_sq_sphere_closed, sc_closed_form,
+                           norm_sq_ball_closed, norm_sq_sphere_closed,
                            sc_e1_norm_sq_closed, sc_norm_sq_closed, solid_harmonic,
                            spherical_monogenic)
+from monokit.legendre import assoc_legendre_float, double_factorial
 from monokit.moments import norm_sq_ball, norm_sq_sphere
 from monokit.mpoly import MPoly, X0, X1, X2
 from monokit.quadrature import QuadratureRule, sc_inner_product_S
@@ -32,6 +32,9 @@ def test_degree_one_axial_element():
 
 
 def test_solid_harmonics_low_degree():
+    assert solid_harmonic(0, "U", 0) == MPoly.one()
+    with pytest.raises(ValueError):
+        solid_harmonic(-1, "U", 0)
     assert solid_harmonic(1, "U", 0) == X0
     assert solid_harmonic(1, "V", 1) == X2
     half = Fraction(1, 2)
@@ -119,27 +122,47 @@ def test_monogenic_constants():
 
 
 def test_monogenic_constant_eval_matches_poly():
-    for n in range(5):
+    # X^{n+1}_n = -c (Re e1 - Im e2) and Y^{n+1}_n = -c (Im e1 + Re e2), with
+    # c = (n+1)/2 (2n+1)!! and Re, Im those of (x1 + i x2)^n, exactly through
+    # degree 12.  (x1 + x2 e1)^n carries Re and Im as components 0, 1.
+    count = 0
+    power = MPoly.one()
+    for n in range(13):
+        re, im = power.component(0), power.component(1)
+        c = Fraction(n + 1, 2) * double_factorial(2 * n + 1)
         for kind in ("X", "Y"):
             p = spherical_monogenic(n, kind, n + 1).poly
-            for theta, phi in ((0.3, 1.1), (1.5707963, 0.0), (2.8, 4.0), (0.0, 2.0)):
-                x = (math.cos(theta), math.sin(theta) * math.cos(phi),
-                     math.sin(theta) * math.sin(phi))
-                grid = p.eval_grid(*(np.array([c]) for c in x))[0]
-                closed = monogenic_constant_eval(n, kind, theta, phi)
-                assert np.allclose(grid, closed, atol=1e-12)
+            count += 1
+            assert p == -c * (re * E1 - im * E2 if kind == "X" else im * E1 + re * E2)
+        power = power * (X1 + X2 * E1)
+    assert count == 26
 
 
 def test_sc_closed_form_matches_poly():
-    for n in range(5):
+    # Sc X^m_n = (n+1+m)/2 r^n U^m_n and Sc Y^m_n = (n+1+m)/2 r^n V^m_n for
+    # every m <= n, exactly through degree 12
+    count = 0
+    for n in range(13):
+        for e in basis_for_degree(n):
+            m = e.index.m
+            if m > n:
+                continue
+            count += 1
+            harmonic = solid_harmonic(n, "U" if e.index.kind == "X" else "V", m)
+            assert e.poly.sc() == Fraction(n + 1 + m, 2) * harmonic
+    assert count == 169
+
+
+def test_solid_harmonic_on_a_meridian_is_the_associated_legendre_function():
+    # at (t, sqrt(1 - t^2), 0) the angle phi is 0, so r^n U^m_n = P^m_n(t)
+    t = np.linspace(-1.0, 1.0, 41)
+    for n in range(13):
         for m in range(n + 1):
-            for kind in ("X", "Y") if m else ("X",):
-                p = spherical_monogenic(n, kind, m).poly
-                for theta, phi in ((0.4, 0.9), (2.2, 5.1)):
-                    x = (math.cos(theta), math.sin(theta) * math.cos(phi),
-                         math.sin(theta) * math.sin(phi))
-                    sc = p.eval_grid(*(np.array([c]) for c in x))[0][0]
-                    assert abs(sc - sc_closed_form(n, m, kind, theta, phi)) < 1e-12
+            values = solid_harmonic(n, "U", m).eval_grid(t, np.sqrt(1.0 - t * t),
+                                                         np.zeros_like(t))[..., 0]
+            reference = assoc_legendre_float(n, m, t)
+            scale = max(1.0, float(np.abs(reference).max()))
+            assert float(np.abs(values - reference).max()) <= 1e-12 * scale
 
 
 def test_beta_variants():

@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from monokit import bohr as bohr_mod
 from monokit.basis import basis_for_degree
 from monokit.bohr import (bohr_radius, coefficient_domination, empirical_bohr_sum,
                           empirical_bohr_sweep, random_test_function,
                           series_f1_threshold, series_f1_threshold_truncated,
                           series_f2_threshold, series_f2_threshold_truncated,
                           series_s1, series_s1_truncated, series_s2,
-                          series_s2_truncated, verify_constants_ratio_lemma,
-                          verify_corollary_bounds, verify_pointwise_bounds,
-                          verify_sc_ratio_lemmas)
+                          series_s2_truncated, verify_constants_e1_bounds,
+                          verify_constants_ratio_lemma, verify_corollary_bounds,
+                          verify_pointwise_bounds, verify_sc_ratio_lemmas,
+                          verify_scalar_part_bounds)
 from monokit.quadrature import QuadratureRule, fourier_expand, fourier_synthesize
 
 R1 = 0.049583846938703394
@@ -145,11 +147,42 @@ def test_pointwise_bounds_sweep():
     assert all({"n": n, "kind": "X"} in const.tight_cases for n in range(5))
 
 
+def test_sphere_families_are_tight_where_the_bound_is_attained():
+    sc = verify_scalar_part_bounds(8)
+    assert sc.passed and sc.samples == 81  # one per decided element, 2n+1 at degree n
+    assert all({"n": n, "index": "X:0"} in sc.tight_cases for n in range(9))
+    const = verify_constants_e1_bounds(8)
+    assert const.passed and const.max_ratio == 1.0
+    assert all({"n": n, "kind": kind} in const.tight_cases
+               for n in range(1, 9) for kind in ("X", "Y"))
+
+
+def test_scalar_part_family_fails_on_a_broken_factorization(monkeypatch):
+    real = bohr_mod.solid_harmonic
+    monkeypatch.setattr(bohr_mod, "solid_harmonic", lambda deg, kind, m: (
+        2 * real(deg, kind, m) if (deg, kind, m) == (3, "V", 2) else real(deg, kind, m)))
+    report = verify_scalar_part_bounds(4)
+    assert not report.passed and report.max_ratio == math.inf
+    assert report.worst_case == {"n": 3, "index": "Y:2"}
+
+
+def test_constants_family_fails_on_a_broken_factorization(monkeypatch):
+    real = bohr_mod.complex_power_parts
+    monkeypatch.setattr(bohr_mod, "complex_power_parts", lambda m: (
+        tuple(2 * part for part in real(m)) if m == 2 else real(m)))
+    report = verify_constants_e1_bounds(4)
+    assert not report.passed and report.max_ratio == math.inf
+    assert report.worst_case == {"n": 2, "kind": "X"}
+
+
 def test_ratio_lemmas():
     assert verify_sc_ratio_lemmas(6).passed
     report = verify_constants_ratio_lemma(6)
     assert report.passed
-    assert "k0_note" in report.worst_case
+    assert report.worst_case == {"k": 1}
+    assert report.to_json_dict()["note"].startswith("k=0 X-branch ratio 0.25")
+    assert verify_constants_ratio_lemma(0).worst_case == {}
+    assert "note" not in verify_sc_ratio_lemmas(2).to_json_dict()
 
 
 def test_random_function_hypotheses():

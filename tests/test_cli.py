@@ -56,6 +56,17 @@ def test_check_bounds_subset(capsys):
     assert all(v["passed"] for v in doc["bounds"].values())
 
 
+def test_check_runs_only_the_requested_families(capsys, monkeypatch):
+    def ball_sweep(*args, **kwargs):
+        raise AssertionError("the polynomial family was not requested")
+
+    monkeypatch.setattr(monokit.bohr, "verify_polynomial_bounds", ball_sweep)
+    code, out, _ = run(capsys, "check", "--bounds", "sc", "--bounds", "constants",
+                       "--max-degree", "6")
+    assert code == 0
+    assert set(json.loads(out)["bounds"]) == {"sc", "constants"}
+
+
 def test_check_bounds_match_the_report_sections(capsys):
     code, out, _ = run(capsys, "check", "--bounds", "pointwise", "--bounds", "sc",
                        "--bounds", "constants", "--bounds", "corollary", "--max-degree", "3")
@@ -137,11 +148,12 @@ def _monomial(degree: int) -> str:
     (["basis", "--degree", "0", "--output", "TMP/file/x.json"], None),
     (["basis", "--degree", "0", "--output", "TMP/missing/x.json"], None),
     (["report", "--golden-dir", "TMP/file/sub"], None),
+    (["check", "--bounds", "sc", "--max-degree", "3", "--output", "TMP/missing/x.json"], None),
 ], ids=["samples-0", "samples-negative", "functions-0", "functions-negative",
         "report-seed-negative", "check-seed-negative", "bohr-tolerance-0",
         "bohr-tolerance-nan", "check-tolerance-0", "deeply-nested-json",
         "input-degree-over-cap", "max-degree-over-cap", "output-under-a-file",
-        "output-in-missing-dir", "golden-dir-under-a-file"])
+        "output-in-missing-dir", "golden-dir-under-a-file", "check-output-in-missing-dir"])
 def test_malformed_input_exits_two(capsys, tmp_path, argv, input_text):
     (tmp_path / "file").write_text("")  # a file where a directory is needed
     unwritable = any("TMP" in arg for arg in argv)
@@ -155,6 +167,7 @@ def test_malformed_input_exits_two(capsys, tmp_path, argv, input_text):
     assert out == ""
     assert err.startswith("error: cannot write " if unwritable else "error: ")
     assert "Traceback" not in err
+    assert not any(line.startswith(("PASS", "FAIL")) for line in err.splitlines())
 
 
 def test_fourier_accepts_the_degree_cap(capsys, tmp_path):

@@ -54,7 +54,8 @@ def test_sphere_norms_equal_closed_forms_through_degree_12():
     assert count == 195
 
 
-small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+# every p/q with q <= 6 and |p/q| <= 3 has |p| <= 18, so this covers those values and more
+small_fractions = st.builds(Fraction, st.integers(-18, 18), st.integers(1, 6))
 exponents = st.sampled_from([(a, b, c) for a in range(7) for b in range(7 - a)
                              for c in range(7 - a - b)])
 quaternions = st.builds(Quaternion, small_fractions, small_fractions,
