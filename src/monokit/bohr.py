@@ -396,7 +396,7 @@ def random_test_function(rng: np.random.Generator, max_degree: int = 5) -> Fouri
             for e, w in zip(elements, ws)})
 
     values = fourier_synthesize(coefficients(weights), *_sphere_grid(121, 240))
-    sup = float(np.sqrt((values ** 2).sum(axis=-1)).max())
+    sup = math.sqrt((values ** 2).sum(axis=-1).max())
     # max(.., 1) only matters for an all-zero draw, which leaves f = c
     scale = budget / Fraction(max(math.ceil(sup * 2.0 * 1024), 1), 1024)
     weights = [scale * w for w in weights]
@@ -416,7 +416,7 @@ def empirical_bohr_sum(coeffs: FourierCoeffs, r: float) -> float:
     total = 0.0
     for n in range(coeffs.max_degree + 1):
         values = eval_terms(block_terms(n, coeffs.block(n)), *grid)
-        total += r ** n * float(np.sqrt((values ** 2).sum(axis=-1)).max())
+        total += r ** n * math.sqrt((values ** 2).sum(axis=-1).max())
     return total
 
 

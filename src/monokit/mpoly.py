@@ -20,8 +20,9 @@ A polynomial is (left) monogenic when dirac(f) == 0.  dirac(dirac_bar(f))
 is the Laplacian in the three variables.
 
 Float evaluation has one path, eval_terms, at points given as (x0, rho,
-phi) with x1 = rho cos phi and x2 = rho sin phi; sphere grids stay
-factored that way, and eval_grid converts Cartesian points once.
+phi) with x1 = rho cos phi and x2 = rho sin phi, binning terms by their x0
+and rho powers; sphere grids stay factored that way, and eval_grid converts
+Cartesian points once.
 
 Example
 -------
@@ -339,30 +340,29 @@ def _powers(v: np.ndarray, top: int) -> np.ndarray:
 def eval_terms(terms, x0, rho, phi) -> np.ndarray:
     """The one float evaluator: (exponent, 4 floats) terms at x1 = rho cos phi, x2 = rho sin phi.
 
-    Terms are grouped by their (x1, x2) exponents (b, c).  Per component, a
-    group sums its comps * x0^a on the shape of (x0, rho) and meets
-    rho^(b+c) cos^b sin^c once, so a tensor sphere grid given as columns
-    x0, rho and a row phi costs no per-term work at every node.  Groups run
-    in sorted order, one at a time, terms in sorted order within; zero
-    components are skipped.  Returns the broadcast shape + (4,).
+    Terms are binned by x0 power a and rho power b + c: per component, a bin
+    is one radial column x0^a rho^(b+c) on the (x0, rho) shape times one row
+    sum comps * cos^b sin^c on the phi shape, so a tensor sphere grid meets a
+    degree-n homogeneous block n + 1 times.  Bins run in sorted order, terms
+    sorted within; zero components are skipped.  Returns broadcast shape + (4,).
     """
     x0, rho = np.broadcast_arrays(np.asarray(x0, dtype=float), np.asarray(rho, dtype=float))
     phi = np.asarray(phi, dtype=float)
     out = np.zeros((4,) + np.broadcast_shapes(x0.shape, phi.shape))
-    groups: dict[tuple[int, int], list] = {}
-    for exp, comps in sorted(terms, key=lambda term: term[0]):
-        groups.setdefault((exp[1], exp[2]), []).append((exp[0], comps))
-    if groups:
-        x0_pow = _powers(x0, max(a for group in groups.values() for a, _ in group))
-        rho_pow = _powers(rho, max(b + c for b, c in groups))
-        cos_pow = _powers(np.cos(phi), max(b for b, _ in groups))
-        sin_pow = _powers(np.sin(phi), max(c for _, c in groups))
-    for (b, c), group in sorted(groups.items()):
-        angular = rho_pow[b + c] * cos_pow[b] * sin_pow[c]
+    bins: dict[tuple[int, int], list] = {}
+    for (a, b, c), comps in sorted(terms, key=lambda term: term[0]):
+        bins.setdefault((a, b + c), []).append((b, c, comps))
+    if bins:
+        x0_pow = _powers(x0, max(a for a, _ in bins))
+        rho_pow = _powers(rho, max(s for _, s in bins))
+        cos_pow = _powers(np.cos(phi), max(b for group in bins.values() for b, _, _ in group))
+        sin_pow = _powers(np.sin(phi), max(c for group in bins.values() for _, c, _ in group))
+    for (a, s), group in sorted(bins.items()):
+        radial = x0_pow[a] * rho_pow[s]
         for k in range(4):
-            parts = [comps[k] * x0_pow[a] for a, comps in group if comps[k]]
+            parts = [comps[k] * cos_pow[b] * sin_pow[c] for b, c, comps in group if comps[k]]
             if parts:
-                out[k] += sum(parts) * angular
+                out[k] += radial * sum(parts)
     return np.moveaxis(out, 0, -1)
 
 

@@ -1,6 +1,7 @@
 """Sparse quaternion-coefficient polynomials: ring ops, operators, wire format."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -96,16 +97,33 @@ def _per_term_reference(terms, x0, x1, x2, monomials=None):
 def _factored_grids():
     from monokit.bohr import _sphere_grid
     from monokit.quadrature import QuadratureRule
-    return [QuadratureRule.for_degree(16).grid(), _sphere_grid(121, 240), _sphere_grid(65, 128)]
+    # the last is the Legendre shape: x0 of shape (N,), scalar rho = phi = 0
+    return [QuadratureRule.for_degree(16).grid(), _sphere_grid(121, 240), _sphere_grid(65, 128),
+            (np.linspace(-1.0, 1.0, 201), 0.0, 0.0)]
+
+
+@lru_cache(maxsize=None)
+def _term_lists():
+    # the basis elements through degree 8; a full degree-5 series as
+    # fourier_synthesize builds it, whose bins hold several (b, c) pairs;
+    # some elements with components zeroed, plus an all-zero term
+    from monokit.basis import basis_elements
+    from monokit.bohr import random_test_function
+    from monokit.quadrature import block_terms
+    lists = [element.poly.float_terms() for element in basis_elements(8)]
+    coeffs = random_test_function(np.random.default_rng(3), 5)
+    lists.append([term for n in range(6) for term in block_terms(n, coeffs.block(n))])
+    lists += [[(exp, tuple(0.0 if (k + exp[1]) % 3 == 0 else v for k, v in enumerate(comps)))
+               for exp, comps in terms] + [((1, 1, 1), (0.0,) * 4)]
+              for terms in lists[3:30:3]]
+    return tuple(lists)
 
 
 def test_eval_terms_matches_per_term_reference_on_sphere_grids():
-    from monokit.basis import basis_elements
     for x0, rho, phi in _factored_grids():
         x1, x2 = rho * np.cos(phi), rho * np.sin(phi)
         monomials = {}
-        for element in basis_elements(8):
-            terms = element.poly.float_terms()
+        for terms in _term_lists():
             got = eval_terms(terms, x0, rho, phi)
             want = _per_term_reference(terms, x0, x1, x2, monomials)
             assert got.shape == want.shape == np.broadcast(x0, phi).shape + (4,)
@@ -125,6 +143,16 @@ def test_eval_grid_at_scattered_points_matches_per_term_reference():
         want = _per_term_reference(element.poly.float_terms(), x0, x1, x2)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.all(np.abs(got[0]) == np.abs(want[0]))  # the origin: only the constant
+
+
+def test_eval_terms_does_not_depend_on_term_order():
+    from monokit.bohr import _sphere_grid
+    rng = np.random.default_rng(11)
+    x0, x1, x2 = rng.uniform(-1.0, 1.0, size=(3, 300))
+    points = (x0, np.hypot(x1, x2), np.arctan2(x2, x1))
+    for terms in _term_lists():
+        for at in (_sphere_grid(65, 128), points):
+            assert np.array_equal(eval_terms(terms, *at), eval_terms(reversed(terms), *at))
 
 
 def test_eval_terms_of_no_terms_is_zero():
