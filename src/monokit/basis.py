@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .legendre import assoc_body, legendre_coeffs
 from .moments import norm_sq_sphere
@@ -68,7 +68,7 @@ class BasisElement:
 
     poly is the raw (unnormalized) polynomial; norm_sq_S is its squared
     L2 norm over the unit sphere divided by pi, exact, and norm_S the
-    norm itself as a float.
+    norm itself as a float, computed once per element.
     """
 
     index: BasisIndex
@@ -78,7 +78,7 @@ class BasisElement:
     def norm_sq_S(self) -> Fraction:
         return _norm_sq_over_pi(self.index)
 
-    @property
+    @cached_property
     def norm_S(self) -> float:
         return math.sqrt(float(self.norm_sq_S) * math.pi)
 

@@ -260,9 +260,11 @@ def verify_polynomial_bounds(n_max: int, n_samples: int = 10_000,
     ball = (direction / np.linalg.norm(direction, axis=1, keepdims=True)
             * (rng.random(n_samples) ** (1.0 / 3.0))[:, None])
     r_ball = np.linalg.norm(ball, axis=1)
+    x0, x1, x2 = ball.T
+    at = (x0, np.hypot(x1, x2), np.arctan2(x2, x1))  # as eval_grid converts, once
 
     def ratio(n, e):
-        moduli = np.sqrt((e.poly.eval_grid(*ball.T) ** 2).sum(axis=-1))
+        moduli = np.sqrt((eval_terms(e.poly.float_terms(), *at) ** 2).sum(axis=-1))
         bound = pointwise_polynomial_bound(n, e.index.m) * r_ball ** n
         return float(np.max(moduli / bound))
 

@@ -21,8 +21,8 @@ is the Laplacian in the three variables.
 
 Float evaluation has one path, eval_terms, at points given as (x0, rho,
 phi) with x1 = rho cos phi and x2 = rho sin phi, binning terms by their x0
-and rho powers; sphere grids stay factored that way, and eval_grid converts
-Cartesian points once.
+and rho powers and summing the bins of a component in one einsum; sphere
+grids stay factored that way, and eval_grid converts Cartesian points once.
 
 Example
 -------
@@ -340,11 +340,13 @@ def _powers(v: np.ndarray, top: int) -> np.ndarray:
 def eval_terms(terms, x0, rho, phi) -> np.ndarray:
     """The one float evaluator: (exponent, 4 floats) terms at x1 = rho cos phi, x2 = rho sin phi.
 
-    Terms are binned by x0 power a and rho power b + c: per component, a bin
-    is one radial column x0^a rho^(b+c) on the (x0, rho) shape times one row
-    sum comps * cos^b sin^c on the phi shape, so a tensor sphere grid meets a
-    degree-n homogeneous block n + 1 times.  Bins run in sorted order, terms
-    sorted within; zero components are skipped.  Returns broadcast shape + (4,).
+    Terms are binned by x0 power a and rho power b + c: a bin is one radial
+    column x0^a rho^(b+c) on the (x0, rho) shape times, per component, one
+    row sum comps * cos^b sin^c on the phi shape.  The columns and the rows
+    are stacked over the bins, and each component is one einsum (no BLAS)
+    over the bin axis, which adds the bins in sorted order; terms are sorted
+    within a bin, a component zero in every term is skipped, and a bin where
+    it is zero gives it a zero row.  Returns broadcast shape + (4,).
     """
     x0, rho = np.broadcast_arrays(np.asarray(x0, dtype=float), np.asarray(rho, dtype=float))
     phi = np.asarray(phi, dtype=float)
@@ -352,17 +354,24 @@ def eval_terms(terms, x0, rho, phi) -> np.ndarray:
     bins: dict[tuple[int, int], list] = {}
     for (a, b, c), comps in sorted(terms, key=lambda term: term[0]):
         bins.setdefault((a, b + c), []).append((b, c, comps))
-    if bins:
-        x0_pow = _powers(x0, max(a for a, _ in bins))
-        rho_pow = _powers(rho, max(s for _, s in bins))
-        cos_pow = _powers(np.cos(phi), max(b for group in bins.values() for b, _, _ in group))
-        sin_pow = _powers(np.sin(phi), max(c for group in bins.values() for _, c, _ in group))
-    for (a, s), group in sorted(bins.items()):
-        radial = x0_pow[a] * rho_pow[s]
-        for k in range(4):
-            parts = [comps[k] * cos_pow[b] * sin_pow[c] for b, c, comps in group if comps[k]]
-            if parts:
-                out[k] += radial * sum(parts)
+    if not bins:
+        return np.moveaxis(out, 0, -1)
+    keys = sorted(bins)
+    x0_pow = _powers(x0, max(a for a, _ in keys))
+    rho_pow = _powers(rho, max(s for _, s in keys))
+    cos_pow = _powers(np.cos(phi), max(b for group in bins.values() for b, _, _ in group))
+    sin_pow = _powers(np.sin(phi), max(c for group in bins.values() for _, c, _ in group))
+    radial = np.empty((len(keys),) + x0.shape)
+    rows = np.empty((len(keys),) + phi.shape)
+    for i, (a, s) in enumerate(keys):
+        # [i, ...] and [k, ...] stay array views when the points are 0-d; [i] would not
+        np.multiply(x0_pow[a], rho_pow[s], out=radial[i, ...])
+    for k in range(4):
+        if any(comps[k] for group in bins.values() for _, _, comps in group):
+            for i, key in enumerate(keys):
+                rows[i] = sum([comps[k] * cos_pow[b] * sin_pow[c]
+                               for b, c, comps in bins[key] if comps[k]])
+            np.einsum("b...,b...->...", radial, rows, out=out[k, ...])
     return np.moveaxis(out, 0, -1)
 
 

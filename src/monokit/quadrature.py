@@ -16,9 +16,11 @@ Every float inner product between basis elements reads one memoized
 sample array (basis_samples) and reduces it over the nodes with a single
 np.einsum, without BLAS, so repeated runs produce byte-identical results.
 Synthesis folds each degree block into one coefficient per monomial
-(block_terms: one einsum with block_table); mpoly.eval_terms evaluates one
-block or the whole series as one polynomial, never an array with an element axis.
-The rule grid stays factored for it: t and sqrt(1 - t^2) columns, a phi row.
+(block_terms: one einsum with block_table, read from the elements' float
+terms); mpoly.eval_terms evaluates one block or the whole series as one
+polynomial, never an array with an element axis, and sums its (x0, rho)
+power bins in one einsum per component.  The rule grid stays factored for
+it: t and sqrt(1 - t^2) columns, a phi row.
 """
 
 from __future__ import annotations
@@ -205,8 +207,8 @@ def block_table(n: int) -> tuple[tuple[Exponent, ...], np.ndarray]:
     """
     elements = basis_for_degree(n)
     exps = tuple(sorted({exp for e in elements for exp in e.poly.ints}))
-    table = np.array([[e.poly.coefficient(exp).to_floats() for exp in exps]
-                      for e in elements])
+    rows = [dict(e.poly.float_terms()) for e in elements]
+    table = np.array([[row.get(exp, (0.0,) * 4) for exp in exps] for row in rows])
     table.flags.writeable = False
     return exps, table
 

@@ -155,6 +155,50 @@ def test_eval_terms_does_not_depend_on_term_order():
             assert np.array_equal(eval_terms(terms, *at), eval_terms(reversed(terms), *at))
 
 
+def _binned_loop_reference(terms, x0, rho, phi):
+    # reference: the bin-by-bin loop, which adds radial * row into the output
+    # one bin at a time, in sorted order; eval_terms must give the same bits
+    x0, rho = np.broadcast_arrays(np.asarray(x0, dtype=float), np.asarray(rho, dtype=float))
+    phi = np.asarray(phi, dtype=float)
+    out = np.zeros((4,) + np.broadcast_shapes(x0.shape, phi.shape))
+    bins = {}
+    for (a, b, c), comps in sorted(terms, key=lambda term: term[0]):
+        bins.setdefault((a, b + c), []).append((b, c, comps))
+    for (a, s), group in sorted(bins.items()):
+        radial = _power(x0, a) * _power(rho, s)
+        for k in range(4):
+            parts = [comps[k] * _power(np.cos(phi), b) * _power(np.sin(phi), c)
+                     for b, c, comps in group if comps[k]]
+            if parts:
+                out[k] += radial * sum(parts)
+    return np.moveaxis(out, 0, -1)
+
+
+def _power(v, k):
+    # v^k by repeated multiplication from 1.0, as the evaluator's power tables
+    out = np.ones_like(v)
+    for _ in range(k):
+        out = out * v
+    return out
+
+
+def test_eval_terms_equals_the_binned_loop_bit_for_bit():
+    rng = np.random.default_rng(17)
+    x0, x1, x2 = rng.uniform(-1.0, 1.0, size=(3, 300))
+    scattered = (x0, np.hypot(x1, x2), np.arctan2(x2, x1))
+    for at in _factored_grids() + [scattered]:
+        for terms in _term_lists():
+            assert np.array_equal(eval_terms(terms, *at), _binned_loop_reference(terms, *at))
+    # a one-point output is one dot product over the bins, which einsum may
+    # vectorize; it equals the one-element array bit for bit, the loop to 1e-13
+    for terms in _term_lists():
+        got = eval_terms(terms, 0.3, 0.4, 1.1)
+        assert got.shape == (4,)
+        assert np.array_equal(got, eval_terms(terms, np.array([0.3]), [0.4], [1.1])[0])
+        want = _binned_loop_reference(terms, 0.3, 0.4, 1.1)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_eval_terms_of_no_terms_is_zero():
     values = eval_terms([], np.ones((3, 1)), np.ones((3, 1)), np.zeros((1, 5)))
     assert values.shape == (3, 5, 4)
