@@ -68,15 +68,15 @@ class BasisElement:
 
     poly is the raw (unnormalized) polynomial; norm_sq_S is its squared
     L2 norm over the unit sphere divided by pi, exact, and norm_S the
-    norm itself as a float, computed once per element.
+    norm itself as a float; each is computed once per element.
     """
 
     index: BasisIndex
     poly: MPoly
 
-    @property
+    @cached_property
     def norm_sq_S(self) -> Fraction:
-        return _norm_sq_over_pi(self.index)
+        return norm_sq_sphere(self.poly)
 
     @cached_property
     def norm_S(self) -> float:
@@ -160,12 +160,6 @@ def basis_for_degree(n: int) -> tuple[BasisElement, ...]:
 def basis_elements(max_degree: int) -> list[BasisElement]:
     """Degrees 0..max_degree in degree-major order, canonical within a degree."""
     return [e for n in range(max_degree + 1) for e in basis_for_degree(n)]
-
-
-@lru_cache(maxsize=None)
-def _norm_sq_over_pi(index: BasisIndex) -> Fraction:
-    poly = spherical_monogenic(index.n, index.kind, index.m).poly
-    return norm_sq_sphere(poly)
 
 
 # -- closed-form norms ------------------------------------------------------------

@@ -9,7 +9,9 @@ Subcommands:
   report   the full verification document; optionally (re)write golden tables
 
 Machine-readable output goes to stdout (or --output); PASS/FAIL summary
-lines go to stderr.  Identical (command, flags, seed) produce identical
+lines go to stderr, from one table, report.SECTIONS, for `check` and
+`report` alike; `check` runs the gram row and the --bounds families it names,
+each once, in flag order.  Identical (command, flags, seed) produce identical
 output bytes.  Exit status: 0 all invoked checks pass, 1 a check failed,
 2 configuration error (an unwritable --output or --golden-dir included).
 """
@@ -39,6 +41,11 @@ EXIT_CONFIG = 2
 # largest polynomial degree `fourier` accepts, in its input and --max-degree;
 # the degree sizes the basis and the quadrature rule (about 4 s at 16)
 MAX_INPUT_DEGREE = 16
+
+
+# the SECTIONS rows `check` runs: "gram" and each bound family by its --bounds name
+CHECK_SECTIONS = {row[0].removeprefix("bounds."): row
+                  for row in report_mod.SECTIONS if row[2]}
 
 
 class ConfigError(Exception):
@@ -134,30 +141,18 @@ def cmd_basis(args) -> int:
 def cmd_check(args) -> int:
     if args.max_degree < 0:
         raise ConfigError("--max-degree must be >= 0")
-    n = args.max_degree
-    sweeps = {"corollary": lambda: bohr_mod.verify_corollary_bounds(n),
-              "pointwise": lambda: bohr_mod.verify_polynomial_bounds(n, seed=args.seed),
-              "sc": lambda: bohr_mod.verify_scalar_part_bounds(n),
-              "constants": lambda: bohr_mod.verify_constants_e1_bounds(n)}
-    run_gram = args.gram or not args.bounds
-    bounds = args.bounds or ([] if args.gram else list(sweeps))
-    doc = {"schema": report_mod.SCHEMA, "command": "check",
-           "config": {"max_degree": n, "tolerance": args.tolerance, "seed": args.seed}}
-    ok = True
-    if run_gram:
-        gram = report_mod.check_gram(n, args.tolerance)
-        doc["gram"] = gram
-        ok &= gram["passed"]
-        status_line(gram["passed"], "gram",
-                    f"max deviation {gram['max_deviation']:.3e} vs {args.tolerance:.0e}")
-    for name in bounds:  # only the families asked for run
-        rep = sweeps[name]()
-        doc.setdefault("bounds", {})[name] = rep.to_json_dict()
-        ok &= rep.passed
-        status_line(rep.passed, f"bounds.{name}", f"max ratio {rep.max_ratio:.12f}")
-    doc["passed"] = ok
+    names = (["gram"] if args.gram else []) + args.bounds  # none asked for: every row
+    rows = [CHECK_SECTIONS[name] for name in dict.fromkeys(names or CHECK_SECTIONS)]
+    config = {"max_degree": args.max_degree, "tolerance": args.tolerance, "seed": args.seed}
+    doc = report_mod.build_sections(
+        {"schema": report_mod.SCHEMA, "command": "check", "config": config}, rows,
+        {**config, "bound_samples": 10_000})  # as many ball points as `report`
+    status = report_mod.section_status(doc, rows)
+    for name, ok, detail in status:
+        status_line(ok, name, detail)
+    doc["passed"] = all(ok for _, ok, _ in status)
     emit(doc, args)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if doc["passed"] else EXIT_CHECK_FAILED
 
 
 def cmd_taylor(args) -> int:
@@ -241,7 +236,7 @@ def cmd_report(args) -> int:
                                   seed=args.seed, bound_samples=args.samples,
                                   bohr_functions=args.functions)
     doc["command"] = "report"
-    for name, ok, detail in report_mod.section_status(doc):
+    for name, ok, detail in report_mod.section_status(doc, report_mod.SECTIONS):
         status_line(ok, name, detail)
     emit(doc, args)
     return EXIT_OK if doc["passed"] else EXIT_CHECK_FAILED
@@ -275,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Gram identity and/or inequality sweeps")
     p.add_argument("--gram", action="store_true", help="check the ball Gram matrix")
     p.add_argument("--bounds", action="append", default=[],
-                   choices=("corollary", *report_mod.POINTWISE_FAMILIES),
+                   choices=[name for name in CHECK_SECTIONS if name != "gram"],
                    help="inequality family to sweep (repeatable)")
     p.add_argument("--max-degree", type=int, default=6)
     p.set_defaults(fn=cmd_check)

@@ -69,9 +69,6 @@ class QuadratureRule:
         """Weight of each grid node, shape (n_t, n_phi)."""
         return np.outer(self.t_weights, np.full(self.n_phi, 2.0 * np.pi / self.n_phi))
 
-    def weight_total(self) -> float:
-        return float(self.t_weights.sum() * 2.0 * np.pi)
-
 
 @lru_cache(maxsize=None)
 def radial_moment(power: int) -> float:

@@ -2,8 +2,9 @@
 
 Everything here reduces to a plain dict (JSON-ready, schema-tagged,
 seed and tolerance recorded, no timestamps) so the command line can emit
-it unchanged and tests can compare it structurally.  SECTIONS lists the
-checks that decide pass or fail, in report order.
+it unchanged and tests can compare it structurally.  SECTIONS is the one
+table of the checks that decide pass or fail: build_report builds every row,
+`monokit check` the rows it is asked for, and both print section_status.
 """
 
 from __future__ import annotations
@@ -23,33 +24,53 @@ from .quadrature import (QuadratureRule, basis_samples, gram_matrix_ball,
 
 SCHEMA = "monogenics-kit/1"
 
-# (dotted path in the report, stderr detail) for each section that decides
-# pass or fail; a None detail prints "ok" or "see report"
+# One row per section that decides pass or fail, in report order: (dotted path,
+# stderr detail format or None for "ok"/"see report", whether `check` runs it,
+# builder).  A builder takes the run's config (build_report's keywords) and
+# looks its section function up when called, so patches and tracers see it.
 _RATIO = "max ratio {max_ratio:.12f}"
 SECTIONS = (
-    ("monogenicity", None),
-    ("gram", None),
-    ("ball_sphere_relation", None),
-    ("norms", None),
-    ("taylor", None),
-    ("bounds.corollary", _RATIO),
-    ("bounds.pointwise", _RATIO),
-    ("bounds.sc", _RATIO),
-    ("bounds.constants", _RATIO),
-    ("bounds.sc_ratio_lemmas", _RATIO),
-    ("bounds.constants_ratio_lemma", _RATIO),
-    ("bohr.empirical", "max block sum {max_ratio:.6f}"),
+    ("monogenicity", None, False, lambda c: check_monogenicity(c["max_degree"])),
+    ("gram", "max deviation {max_deviation:.3e} vs {tolerance:.0e}", True,
+     lambda c: check_gram(c["max_degree"], c["tolerance"])),
+    ("ball_sphere_relation", None, False,
+     lambda c: check_ball_sphere_relation(c["max_degree"], c["tolerance"])),
+    ("norms", None, False,
+     lambda c: check_norms(c["max_degree"], min(c["max_degree"], 6), c["tolerance"])),
+    ("taylor", None, False, lambda c: check_taylor(c["max_degree"])),
+    ("bounds.corollary", _RATIO, True,
+     lambda c: bohr_mod.verify_corollary_bounds(c["max_degree"]).to_json_dict()),
+    ("bounds.pointwise", _RATIO, True, lambda c: bohr_mod.verify_polynomial_bounds(
+        c["max_degree"], c["bound_samples"], c["seed"]).to_json_dict()),
+    ("bounds.sc", _RATIO, True,
+     lambda c: bohr_mod.verify_scalar_part_bounds(c["max_degree"]).to_json_dict()),
+    ("bounds.constants", _RATIO, True,
+     lambda c: bohr_mod.verify_constants_e1_bounds(c["max_degree"]).to_json_dict()),
+    ("bounds.sc_ratio_lemmas", _RATIO, False,
+     lambda c: bohr_mod.verify_sc_ratio_lemmas(c["max_degree"]).to_json_dict()),
+    ("bounds.constants_ratio_lemma", _RATIO, False,
+     lambda c: bohr_mod.verify_constants_ratio_lemma(c["max_degree"]).to_json_dict()),
+    ("bohr.empirical", "max block sum {max_ratio:.6f}", False,
+     lambda c: bohr_mod.empirical_bohr_sweep(c["bohr_functions"],
+                                             seed=c["seed"]).to_json_dict()),
 )
 
-# bounds section -> verify_pointwise_bounds key, for the report and `check --bounds`
-POINTWISE_FAMILIES = {"pointwise": "polynomial", "sc": "scalar-part",
-                      "constants": "constants-e1"}
+
+def build_sections(doc: dict, rows, config: dict) -> dict:
+    """Build each row's section into doc at its dotted path, in row order."""
+    for path, _, _, build in rows:
+        *parents, key = path.split(".")
+        node = doc
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[key] = build(config)
+    return doc
 
 
-def section_status(doc: dict) -> list[tuple[str, bool, str]]:
-    """(path, passed, detail) for each entry of SECTIONS, in order."""
+def section_status(doc: dict, rows) -> list[tuple[str, bool, str]]:
+    """(path, passed, stderr detail) for each row, in order, read from doc."""
     out = []
-    for path, detail in SECTIONS:
+    for path, detail, _, _ in rows:
         section = doc
         for key in path.split("."):
             section = section[key]
@@ -221,41 +242,27 @@ def build_report(max_degree: int = 6, tolerance: float = 1e-10, seed: int = 0,
                  bound_samples: int = 10_000, bohr_functions: int = 100) -> dict:
     """One document covering every verification the package makes.
 
-    Degrees beyond max_degree are used only where a specific closed form
-    needs its own documented range (constants norms start at 1).
+    Schema and config, then every SECTIONS row in order, then the parts that
+    decide nothing: the radius, margins and note under bohr, and the two
+    closed-form tables; passed and failed_sections close it.  Degrees beyond
+    max_degree are used only where a specific closed form needs its own
+    documented range (constants norms start at 1).
     """
-    pointwise = bohr_mod.verify_pointwise_bounds(max_degree, bound_samples, seed)
-    bohr_report = bohr_mod.bohr_radius()
-    sections = {
-        "schema": SCHEMA,
-        "config": {"max_degree": max_degree, "tolerance": tolerance, "seed": seed,
-                   "bound_samples": bound_samples, "bohr_functions": bohr_functions},
-        "monogenicity": check_monogenicity(max_degree),
-        "gram": check_gram(max_degree, tolerance),
-        "ball_sphere_relation": check_ball_sphere_relation(max_degree, tolerance),
-        "norms": check_norms(max_degree, min(max_degree, 6), tolerance),
-        "taylor": check_taylor(max_degree),
-        "bounds": {
-            "corollary": bohr_mod.verify_corollary_bounds(max_degree).to_json_dict(),
-            **{name: pointwise[family].to_json_dict()
-               for name, family in POINTWISE_FAMILIES.items()},
-            "sc_ratio_lemmas": bohr_mod.verify_sc_ratio_lemmas(max_degree).to_json_dict(),
-            "constants_ratio_lemma":
-                bohr_mod.verify_constants_ratio_lemma(max_degree).to_json_dict(),
-        },
-        "bohr": {
-            **bohr_report.to_json_dict(),
-            "empirical": bohr_mod.empirical_bohr_sweep(bohr_functions,
-                                                       seed=seed).to_json_dict(),
-            "note": ("the first series reaches 1 at r1, so the usable radius is a"
-                     " rounding of r1; S1 already exceeds 1 at 0.05"),
-        },
-        "closed_form_agreement": {
-            "axial": axial_agreement(max_degree),
-            "taylor": taylor_agreement(max_degree),
-        },
+    config = {"max_degree": max_degree, "tolerance": tolerance, "seed": seed,
+              "bound_samples": bound_samples, "bohr_functions": bohr_functions}
+    doc = build_sections({"schema": SCHEMA, "config": config}, SECTIONS, config)
+    # "bohr" already holds the empirical sweep; re-assigning keeps its place
+    doc["bohr"] = {
+        **bohr_mod.bohr_radius().to_json_dict(),
+        **doc["bohr"],
+        "note": ("the first series reaches 1 at r1, so the usable radius is a"
+                 " rounding of r1; S1 already exceeds 1 at 0.05"),
     }
-    failed = [path for path, ok, _ in section_status(sections) if not ok]
-    sections["passed"] = not failed
-    sections["failed_sections"] = failed
-    return sections
+    doc["closed_form_agreement"] = {
+        "axial": axial_agreement(max_degree),
+        "taylor": taylor_agreement(max_degree),
+    }
+    failed = [path for path, ok, _ in section_status(doc, SECTIONS) if not ok]
+    doc["passed"] = not failed
+    doc["failed_sections"] = failed
+    return doc

@@ -185,6 +185,20 @@ def test_ratio_lemmas():
     assert "note" not in verify_sc_ratio_lemmas(2).to_json_dict()
 
 
+def test_scalar_part_family_and_its_ratio_lemmas_decide_the_same_inequality():
+    # both read sup |P^m_n| <= (n+m)!/n! through _sc_sup, so they move together
+    for n in range(9):
+        sc, lemmas = verify_scalar_part_bounds(n), verify_sc_ratio_lemmas(n)
+        assert sc.max_ratio == pytest.approx(lemmas.max_ratio, rel=1e-15, abs=0)
+        assert ([(case["n"], case["index"]) for case in sc.tight_cases]
+                == [(case["k"], f"X:{case['m']}") for case in lemmas.tight_cases])
+        constants = verify_constants_ratio_lemma(n)
+        if n == 0:  # the lemma starts at k = 1
+            assert constants.samples == 0
+        else:
+            assert constants.max_ratio == pytest.approx(0.5, rel=1e-15, abs=0)
+
+
 def test_random_function_hypotheses():
     rng = np.random.default_rng(12)
     theta = np.linspace(0.0, math.pi, 361)[:, None]

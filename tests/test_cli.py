@@ -67,6 +67,39 @@ def test_check_runs_only_the_requested_families(capsys, monkeypatch):
     assert set(json.loads(out)["bounds"]) == {"sc", "constants"}
 
 
+def test_check_runs_a_repeated_family_once(capsys, monkeypatch):
+    calls = []
+    real = monokit.bohr.verify_scalar_part_bounds
+    monkeypatch.setattr(monokit.bohr, "verify_scalar_part_bounds",
+                        lambda n: calls.append(n) or real(n))
+    code, out, err = run(capsys, "check", "--bounds", "sc", "--bounds", "corollary",
+                         "--bounds", "sc", "--max-degree", "3")
+    assert code == 0
+    assert calls == [3]
+    assert [line.split()[1] for line in err.splitlines()] == ["bounds.sc:", "bounds.corollary:"]
+    assert set(json.loads(out)["bounds"]) == {"sc", "corollary"}
+
+
+def test_a_failing_section_fails_report_and_check_alike(capsys, monkeypatch, tmp_path):
+    def failing_gram(max_degree, tolerance):
+        return {"max_degree": max_degree, "size": 0, "max_deviation": 0.5,
+                "tolerance": tolerance, "passed": False}
+
+    monkeypatch.setattr(monokit.report, "check_gram", failing_gram)
+    line = "FAIL gram: max deviation 5.000e-01 vs 1e-10"
+    path = tmp_path / "r.json"
+    code, _, err = run(capsys, "report", "--max-degree", "1", "--samples", "100",
+                       "--functions", "2", "--output", str(path))
+    assert code == 1
+    assert line in err.splitlines()
+    doc = json.loads(path.read_text())
+    assert doc["failed_sections"] == ["gram"] and not doc["passed"]
+    code, out, err = run(capsys, "check", "--gram", "--max-degree", "1")
+    assert code == 1
+    assert err.splitlines() == [line]
+    assert not json.loads(out)["passed"]
+
+
 def test_check_bounds_match_the_report_sections(capsys):
     code, out, _ = run(capsys, "check", "--bounds", "pointwise", "--bounds", "sc",
                        "--bounds", "constants", "--bounds", "corollary", "--max-degree", "3")
@@ -237,8 +270,9 @@ def test_report_status_lines_follow_section_table(capsys, tmp_path):
                        "--functions", "2", "--output", str(tmp_path / "r.json"))
     assert code == 0
     names = [line.split()[1].rstrip(":") for line in err.splitlines()]
-    assert names == [path for path, _ in SECTIONS]
-    assert "PASS gram: ok" in err
+    assert names == [path for path, *_ in SECTIONS]
+    deviation = json.loads((tmp_path / "r.json").read_text())["gram"]["max_deviation"]
+    assert f"PASS gram: max deviation {deviation:.3e} vs 1e-10" in err.splitlines()
     assert "PASS bounds.sc_ratio_lemmas: max ratio " in err
 
 

@@ -18,7 +18,7 @@ from monokit.quadrature import (FourierCoeffs, QuadratureRule, basis_samples,
 def test_weight_total_is_sphere_area():
     for degree in (2, 7, 14):
         rule = QuadratureRule.for_degree(degree)
-        assert abs(rule.weight_total() - 4.0 * math.pi) < 1e-12
+        assert abs(rule.node_weights().sum() - 4.0 * math.pi) < 1e-12
 
 
 def test_monomial_moments_are_exact():
