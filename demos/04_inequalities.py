@@ -3,7 +3,8 @@ Inequality sweeps with witnessed tightness
 ==========================================
 
 The coefficient bounds are verified over exact Taylor coefficients and
-the polynomial bound over random ball points.  The two sphere bounds check
+the polynomial bound from each element's exact sphere norm (the addition
+theorem bounds sup |f| on the sphere by it).  The two sphere bounds check
 an exact factorization of each element's scalar part and then read one
 supremum per family.  Each sweep reports the largest ratio bound-side /
 bound and the cases where it reaches 1.
@@ -18,13 +19,14 @@ corollary = verify_corollary_bounds(6)
 print(f"coefficient bound, degrees 0..6: max ratio {corollary.max_ratio:.4f} "
       f"over {corollary.samples} coefficients -> passed={corollary.passed}")
 
-# Pointwise bounds: the polynomial modulus on 2,000 random ball points; the
-# scalar part and the monogenic-constant blocks times e1 on the sphere, each
-# from its exact factorization (one decided case per element).
-reports = verify_pointwise_bounds(5, n_samples=2_000, seed=7)
+# Pointwise bounds: the polynomial modulus certified from its exact sphere
+# norm; the scalar part and the monogenic-constant blocks times e1 on the
+# sphere, each from its exact factorization.  Every family decides one case
+# per element.
+reports = verify_pointwise_bounds(5)
 for name, report in reports.items():
     print(f"\n{name}: max ratio {report.max_ratio:.6f} "
-          f"({report.samples} samples) -> passed={report.passed}")
+          f"({report.samples} cases) -> passed={report.passed}")
     if report.tight_cases:
         print(f"  tight (ratio = 1 within 1e-12) at: {report.tight_cases}")
 

@@ -20,10 +20,15 @@ the empirical one too, only generates (ratio, samples, case) triples; one
 fold, _sweep, builds every report.  A bound sweep passes at a maximum of
 at most 1 + RATIO_SLACK, the empirical sweep only strictly below 1.
 
-Only the polynomial family samples (random ball points).  The two sphere
-families check an exact factorization per element, Sc X^m_n = (n+1+m)/2 r^n
-U^m_n and (X^{n+1}_n)_1 = -(n+1)/2 (2n+1)!! Re (x1 + i x2)^n, then read one
-supremum per family, _sc_sup and _e1_sc_sup, which the ratio lemmas share.
+If each component of f is harmonic and homogeneous of degree n, the addition
+theorem for spherical harmonics (Stein & Weiss 1971, ch. IV) gives sup_S |f|^2
+<= (2n+1)/4 ||f||^2/pi, _sphere_sup_sq.  The polynomial family decides each
+element with it, and the random test functions take their scale from it.
+
+The two sphere families check an exact factorization per element, Sc X^m_n =
+(n+1+m)/2 r^n U^m_n and (X^{n+1}_n)_1 = -(n+1)/2 (2n+1)!! Re (x1 + i x2)^n,
+then read one supremum per family, _sc_sup and _e1_sc_sup, which the ratio
+lemmas share; _sc_sup is the one bound that still samples (a t grid).
 So the scalar-part family and its ratio lemmas decide one inequality, sup
 |P^m_n| <= (n+m)!/n!, with equal maximum ratios (to 1e-15 relative) and tight
 cases (X:0 at n, (k=n, m=0)); the constants ratio lemma reads 1/2 at each k.
@@ -47,7 +52,7 @@ from .basis import (basis_elements, basis_for_degree, complex_power_parts,
 from .fueter import taylor_coefficients
 from .legendre import assoc_legendre_float, double_factorial
 from .mpoly import eval_terms
-from .quadrature import FourierCoeffs, block_terms, fourier_synthesize
+from .quadrature import FourierCoeffs, block_terms
 
 
 # -- majorant series -----------------------------------------------------------
@@ -244,35 +249,39 @@ def verify_corollary_bounds(n_max: int) -> BoundCheckReport:
         for gamma, c in taylor_coefficients(e.poly).items()))
 
 
+def _pointwise_bound_sq_over_pi(n: int, m: int) -> Fraction:
+    """pointwise_polynomial_bound(n, m)^2 / pi, exact."""
+    orders = Fraction(math.factorial(n + 1 + m), 2 * math.factorial(n + 1 - m)) if m else 1
+    return ((n + 1) * 2 ** n) ** 2 * Fraction(n + 1, 2 * n + 3) * orders
+
+
 def pointwise_polynomial_bound(n: int, m: int) -> float:
     """r^n (n+1) 2^n sqrt(...) bound at r = 1 (homogeneity covers the rest)."""
-    if m == 0:
-        radicand = math.pi * (n + 1) / (2 * n + 3)
-    else:
-        radicand = (math.pi / 2.0 * (n + 1) / (2 * n + 3)
-                    * math.factorial(n + 1 + m) / math.factorial(n + 1 - m))
-    return (n + 1) * 2 ** n * math.sqrt(radicand)
+    return math.sqrt(math.pi * _pointwise_bound_sq_over_pi(n, m))
 
 
-def verify_polynomial_bounds(n_max: int, n_samples: int = 10_000,
-                             seed: int = 0) -> BoundCheckReport:
-    """|f(x)| <= pointwise_polynomial_bound(n, m) |x|^n for every element f at
-    n_samples random ball points, drawn from a generator seeded with seed."""
-    rng = np.random.default_rng(seed)
-    direction = rng.normal(size=(n_samples, 3))
-    ball = (direction / np.linalg.norm(direction, axis=1, keepdims=True)
-            * (rng.random(n_samples) ** (1.0 / 3.0))[:, None])
-    r_ball = np.linalg.norm(ball, axis=1)
-    x0, x1, x2 = ball.T
-    at = (x0, np.hypot(x1, x2), np.arctan2(x2, x1))  # as eval_grid converts, once
+_PI_BELOW = Fraction(333, 106)  # < pi, so a bound with a factor pi is decided exactly
 
+
+def _sphere_sup_sq(n: int, norm_sq: Fraction) -> Fraction:
+    """sup_S |f|^2 <= (2n+1)/4 ||f||^2/pi = (2n+1)/4 norm_sq; see the module docstring."""
+    return Fraction(2 * n + 1, 4) * norm_sq
+
+
+def verify_polynomial_bounds(n_max: int) -> BoundCheckReport:
+    """|f(x)| <= pointwise_polynomial_bound(n, m) |x|^n for every element f, decided
+    exactly: f is homogeneous of degree n with a zero Laplacian, and _sphere_sup_sq
+    <= _PI_BELOW bound^2/pi.  A failed premise or comparison gives ratio inf."""
     def ratio(n, e):
-        moduli = np.sqrt((eval_terms(e.poly.float_terms(), *at) ** 2).sum(axis=-1))
-        bound = pointwise_polynomial_bound(n, e.index.m) * r_ball ** n
-        return float(np.max(moduli / bound))
+        sup_sq = _sphere_sup_sq(n, e.norm_sq_S)
+        if not (e.poly.is_homogeneous() and e.poly.degree() == n
+                and e.poly.laplacian().is_zero()
+                and sup_sq <= _PI_BELOW * _pointwise_bound_sq_over_pi(n, e.index.m)):
+            return math.inf
+        return math.sqrt(sup_sq) / pointwise_polynomial_bound(n, e.index.m)
 
     return _sweep("pointwise-polynomial-bounds", (0, n_max), (
-        (ratio(n, e), n_samples, {"n": n, "index": e.index.label})
+        (ratio(n, e), 1, {"n": n, "index": e.index.label})
         for n in range(n_max + 1) for e in basis_for_degree(n)))
 
 
@@ -320,11 +329,9 @@ def verify_constants_e1_bounds(n_max: int) -> BoundCheckReport:
         for n in range(n_max + 1) for e in basis_for_degree(n) if e.index.m == n + 1))
 
 
-def verify_pointwise_bounds(n_max: int, n_samples: int = 10_000,
-                            seed: int = 0) -> dict[str, BoundCheckReport]:
-    """The three pointwise families, keyed 'polynomial', 'scalar-part' and
-    'constants-e1'; only the polynomial family samples (n_samples ball points)."""
-    return {"polynomial": verify_polynomial_bounds(n_max, n_samples, seed),
+def verify_pointwise_bounds(n_max: int) -> dict[str, BoundCheckReport]:
+    """The three pointwise families, keyed 'polynomial', 'scalar-part' and 'constants-e1'."""
+    return {"polynomial": verify_polynomial_bounds(n_max),
             "scalar-part": verify_scalar_part_bounds(n_max),
             "constants-e1": verify_constants_e1_bounds(n_max)}
 
@@ -381,32 +388,28 @@ def _sphere_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.n
 def random_test_function(rng: np.random.Generator, max_degree: int = 5) -> FourierCoeffs:
     """Fourier coefficients of an A-valued monogenic f with certified sup_B |f| < 1, Sc f > 0.
 
-    f is a constant c in [1/4, 3/4] plus exact rational weights num/8 on the
-    raw basis elements through max_degree, rescaled by an exact rational
-    factor.  The sup of the weighted sum over the ball is estimated on a
-    dense sphere grid (components are harmonic, so |f|^2 attains its maximum
-    on the boundary), and the scale keeps its modulus under a budget
-    b < min(c, 1 - c).  Then |f| <= c + b < 1 and Sc f >= c - b > 0.  The
-    margin (factor 2 on the grid estimate) dwarfs any grid discretization
-    error at these degrees, so both hypotheses hold with room to spare.
+    f is a constant c in [1/4, 3/4] plus g, exact rational weights num/8 on the
+    raw basis elements through max_degree times an exact rational scale.  Same-
+    degree elements are orthogonal, so block n of g has ||g_n||^2/pi = sum w_e^2
+    norm_sq_S, and sqrt(_sphere_sup_sq) of it, rounded up past a multiple of
+    1/1024, bounds |g_n| on the ball.  The scale takes the sum over n of those to
+    a budget b < min(c, 1 - c), so |f| <= c + b < 1 and Sc f >= c - b > 0.
     """
     constant = Fraction(int(rng.integers(4, 13)), 16)
     budget = min(constant, 1 - constant) * Fraction(3, 4)
     elements = basis_elements(max_degree)
     weights = [Fraction(int(rng.integers(-9, 10)), 8) for _ in elements]
-
-    def coefficients(ws) -> FourierCoeffs:  # unit vectors sqrt(2n+3) e / norm_S
-        return FourierCoeffs(max_degree, {
-            (e.index.n, e.index.label): float(w) * e.norm_S / math.sqrt(2 * e.index.n + 3)
-            for e, w in zip(elements, ws)})
-
-    values = fourier_synthesize(coefficients(weights), *_sphere_grid(121, 240))
-    sup = math.sqrt((values ** 2).sum(axis=-1).max())
-    # max(.., 1) only matters for an all-zero draw, which leaves f = c
-    scale = budget / Fraction(max(math.ceil(sup * 2.0 * 1024), 1), 1024)
+    block_norm_sq = [Fraction(0)] * (max_degree + 1)
+    for e, w in zip(elements, weights):
+        block_norm_sq[e.index.n] += w * w * e.norm_sq_S
+    ticks = sum(math.isqrt(math.ceil(1024 ** 2 * _sphere_sup_sq(n, norm_sq))) + 1
+                for n, norm_sq in enumerate(block_norm_sq))  # (isqrt(k) + 1)^2 > k
+    scale = budget / Fraction(ticks, 1024)
     weights = [scale * w for w in weights]
     weights[0] += 2 * constant  # the degree-0 element X:0 is the constant 1/2
-    return coefficients(weights)
+    return FourierCoeffs(max_degree, {  # over the unit vectors sqrt(2n+3) e / norm_S
+        (e.index.n, e.index.label): float(w) * e.norm_S / math.sqrt(2 * e.index.n + 3)
+        for e, w in zip(elements, weights)})
 
 
 def empirical_bohr_sum(coeffs: FourierCoeffs, r: float) -> float:

@@ -145,8 +145,7 @@ def cmd_check(args) -> int:
     rows = [CHECK_SECTIONS[name] for name in dict.fromkeys(names or CHECK_SECTIONS)]
     config = {"max_degree": args.max_degree, "tolerance": args.tolerance, "seed": args.seed}
     doc = report_mod.build_sections(
-        {"schema": report_mod.SCHEMA, "command": "check", "config": config}, rows,
-        {**config, "bound_samples": 10_000})  # as many ball points as `report`
+        {"schema": report_mod.SCHEMA, "command": "check", "config": config}, rows, config)
     status = report_mod.section_status(doc, rows)
     for name, ok, detail in status:
         status_line(ok, name, detail)
@@ -215,8 +214,8 @@ def cmd_bohr(args) -> int:
 def cmd_report(args) -> int:
     if args.max_degree < 0:
         raise ConfigError("--max-degree must be >= 0")
-    if args.samples < 1 or args.functions < 1:
-        raise ConfigError("--samples and --functions must be >= 1")
+    if args.functions < 1:
+        raise ConfigError("--functions must be >= 1")
     if args.golden_dir:
         golden = Path(args.golden_dir)
         try:
@@ -233,8 +232,7 @@ def cmd_report(args) -> int:
               "files": ["axial_closed_forms.json", "taylor_closed_forms.json"]}, args)
         return EXIT_OK
     doc = report_mod.build_report(max_degree=args.max_degree, tolerance=args.tolerance,
-                                  seed=args.seed, bound_samples=args.samples,
-                                  bohr_functions=args.functions)
+                                  seed=args.seed, bohr_functions=args.functions)
     doc["command"] = "report"
     for name, ok, detail in report_mod.section_status(doc, report_mod.SECTIONS):
         status_line(ok, name, detail)
@@ -297,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", parents=[common],
                        help="full verification document")
     p.add_argument("--max-degree", type=int, default=6)
-    p.add_argument("--samples", type=int, default=10_000,
-                   help="ball points of the polynomial sweep (default 10000)")
     p.add_argument("--functions", type=int, default=100,
                    help="empirical radius-test function count (default 100)")
     p.add_argument("--golden-dir", metavar="DIR", default=None,

@@ -14,8 +14,8 @@ import numpy as np
 
 from monokit import basis, legendre
 from monokit.basis import basis_for_degree, spherical_monogenic
-from monokit.bohr import (bohr_radius, empirical_bohr_sweep, series_s1,
-                          verify_corollary_bounds, verify_pointwise_bounds)
+from monokit.bohr import (bohr_radius, empirical_bohr_sweep, pointwise_polynomial_bound,
+                          series_s1, verify_corollary_bounds, verify_pointwise_bounds)
 from monokit.moments import norm_sq_sphere
 from monokit.quadrature import gram_matrix_ball
 from monokit.quaternion import E1
@@ -89,19 +89,24 @@ def test_criterion_5_taylor_round_trip():
 
 def test_criterion_6_bound_sweeps():
     corollary = verify_corollary_bounds(8)
-    pointwise = verify_pointwise_bounds(8, n_samples=10_000, seed=0)
+    pointwise = verify_pointwise_bounds(8)
+    polynomial = pointwise["polynomial"]
+    exact_n0 = (polynomial.samples == 99
+                and polynomial.max_ratio == 0.5 / pointwise_polynomial_bound(0, 0)
+                and polynomial.worst_case == {"n": 0, "index": "X:0"})
     tight_sc = all({"n": n, "index": "X:0"} in pointwise["scalar-part"].tight_cases
                    for n in range(9))
     tight_const = all({"n": n, "kind": kind} in pointwise["constants-e1"].tight_cases
                       for n in range(9) for kind in ("X", "Y") if n or kind == "X")
     ok = (corollary.passed and all(r.passed for r in pointwise.values())
-          and tight_sc and tight_const)
+          and exact_n0 and tight_sc and tight_const)
     ratios = {name: round(r.max_ratio, 15) for name, r in pointwise.items()}
-    emit(6, "coefficient and pointwise bounds, n<=8, polynomial family at 10^4 ball"
-         " samples, scalar-part and constants-e1 read from exact identities", ok,
-         f"corollary max {corollary.max_ratio:.4f}, pointwise max {ratios}, tight"
-         f" (ratio=1 within 1e-12): scalar-part X:0 at n=0..8, constants-e1 X at"
-         f" n=0..8 and Y at n=1..8")
+    emit(6, "coefficient and pointwise bounds, n<=8, polynomial family certified from"
+         " exact sphere norms (one case per element), scalar-part and constants-e1"
+         " read from exact identities", ok,
+         f"corollary max {corollary.max_ratio:.4f}, pointwise max {ratios}, polynomial"
+         f" worst X:0 at n=0 (sqrt(1/4)/bound), tight (ratio=1 within 1e-12):"
+         f" scalar-part X:0 at n=0..8, constants-e1 X at n=0..8 and Y at n=1..8")
 
 
 def test_criterion_7_radius_thresholds():

@@ -138,13 +138,53 @@ def test_corollary_bounds_sweep():
 
 
 def test_pointwise_bounds_sweep():
-    reports = verify_pointwise_bounds(4, n_samples=2000, seed=0)
+    reports = verify_pointwise_bounds(4)
     assert all(r.passed for r in reports.values())
+    assert reports["polynomial"].samples == 35  # one decided case per element
     sc = reports["scalar-part"]
     assert {"n": 0, "index": "X:0"} in sc.tight_cases
     const = reports["constants-e1"]
     assert {"n": 0, "kind": "X"} in const.tight_cases
     assert all({"n": n, "kind": "X"} in const.tight_cases for n in range(5))
+
+
+def test_polynomial_family_certifies_above_a_ball_sample():
+    # reference oracle: |f| at seeded random ball points never exceeds the
+    # certified sup, element by element, through degree 8
+    rng = np.random.default_rng(0)
+    direction = rng.normal(size=(2000, 3))
+    radius = rng.random(2000) ** (1.0 / 3.0)
+    points = (direction / np.linalg.norm(direction, axis=1, keepdims=True) * radius[:, None]).T
+    certified = {}
+    report = bohr_mod.verify_polynomial_bounds(8)
+    assert report.passed and report.samples == 99
+    for n in range(9):
+        for e in basis_for_degree(n):
+            sup_sq = bohr_mod._sphere_sup_sq(n, e.norm_sq_S)
+            bound = bohr_mod.pointwise_polynomial_bound(n, e.index.m)
+            certified[n, e.index.label] = math.sqrt(sup_sq) / bound
+            moduli = np.sqrt((e.poly.eval_grid(*points) ** 2).sum(axis=-1))
+            sampled = float(np.max(moduli / (bound * radius ** n)))
+            assert sampled <= certified[n, e.index.label] * (1.0 + 1e-12)
+    assert report.max_ratio == max(certified.values()) == certified[0, "X:0"]
+    assert report.worst_case == {"n": 0, "index": "X:0"}
+
+
+def test_polynomial_family_fails_on_a_non_harmonic_element(monkeypatch):
+    from monokit.basis import BasisElement
+    from monokit.mpoly import MPoly
+    real = bohr_mod.basis_for_degree
+
+    def broken(n):
+        if n != 3:
+            return real(n)
+        return tuple(BasisElement(e.index, e.poly + MPoly.monomial((1, 2, 0), 1))
+                     if e.index.label == "Y:2" else e for e in real(n))
+
+    monkeypatch.setattr(bohr_mod, "basis_for_degree", broken)
+    report = bohr_mod.verify_polynomial_bounds(4)
+    assert not report.passed and report.max_ratio == math.inf
+    assert report.worst_case == {"n": 3, "index": "Y:2"}
 
 
 def test_sphere_families_are_tight_where_the_bound_is_attained():
@@ -219,23 +259,26 @@ def test_empirical_sum_for_constant():
 
 
 def test_random_function_is_the_exact_combination_it_draws():
-    # in-test reference: the same draws combined as an exact polynomial,
-    # rescaled by its own grid sup and expanded by quadrature
+    # in-test reference: the same draws combined as exact degree blocks, each
+    # block's sup bound read from its own exact sphere norm, and the rescaled
+    # polynomial expanded by quadrature
     from fractions import Fraction
-    from monokit.basis import basis_elements
-    from monokit.bohr import _sphere_grid
-    from monokit.mpoly import MPoly, eval_terms
+    from monokit.mpoly import MPoly
+    from monokit.moments import norm_sq_sphere
     for seed in range(4):
         coeffs = random_test_function(np.random.default_rng(seed), max_degree=3)
         rng = np.random.default_rng(seed)
         constant = Fraction(int(rng.integers(4, 13)), 16)
-        combo = MPoly.zero()
-        for e in basis_elements(3):
-            combo = combo + Fraction(int(rng.integers(-9, 10)), 8) * e.poly
-        values = eval_terms(combo.float_terms(), *_sphere_grid(121, 240))
-        sup = float(np.sqrt((values ** 2).sum(axis=-1)).max())
-        scale = min(constant, 1 - constant) * Fraction(3, 4) / Fraction(
-            math.ceil(sup * 2.0 * 1024), 1024)
+        blocks = [MPoly.zero() for _ in range(4)]
+        for n in range(4):
+            for e in basis_for_degree(n):
+                blocks[n] = blocks[n] + Fraction(int(rng.integers(-9, 10)), 8) * e.poly
+        ticks = 0
+        for n, block in enumerate(blocks):
+            sup_sq = Fraction(2 * n + 1, 4) * norm_sq_sphere(block) * 1024 ** 2
+            ticks += math.isqrt(math.ceil(sup_sq)) + 1  # the next multiple of 1/1024 up
+        combo = sum(blocks, MPoly.zero())
+        scale = min(constant, 1 - constant) * Fraction(3, 4) / Fraction(ticks, 1024)
         f = MPoly.scalar(constant) + scale * combo
         reference = fourier_expand(f, 3, QuadratureRule.for_degree(6))
         assert coeffs.max_degree == 3
@@ -245,8 +288,9 @@ def test_random_function_is_the_exact_combination_it_draws():
 
 
 def test_empirical_sweep_draws_the_pinned_functions():
+    # pinned at the scale read from exact block norms (the sphere-norm sup bound)
     report = empirical_bohr_sweep(20, seed=0)
-    assert report.max_ratio == pytest.approx(0.7500024580302959, rel=1e-12)
+    assert report.max_ratio == pytest.approx(0.7500025875660524, rel=1e-12)
     assert report.worst_case == {"function": 14}
 
 

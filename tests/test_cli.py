@@ -57,10 +57,10 @@ def test_check_bounds_subset(capsys):
 
 
 def test_check_runs_only_the_requested_families(capsys, monkeypatch):
-    def ball_sweep(*args, **kwargs):
+    def polynomial_sweep(*args, **kwargs):
         raise AssertionError("the polynomial family was not requested")
 
-    monkeypatch.setattr(monokit.bohr, "verify_polynomial_bounds", ball_sweep)
+    monkeypatch.setattr(monokit.bohr, "verify_polynomial_bounds", polynomial_sweep)
     code, out, _ = run(capsys, "check", "--bounds", "sc", "--bounds", "constants",
                        "--max-degree", "6")
     assert code == 0
@@ -88,8 +88,8 @@ def test_a_failing_section_fails_report_and_check_alike(capsys, monkeypatch, tmp
     monkeypatch.setattr(monokit.report, "check_gram", failing_gram)
     line = "FAIL gram: max deviation 5.000e-01 vs 1e-10"
     path = tmp_path / "r.json"
-    code, _, err = run(capsys, "report", "--max-degree", "1", "--samples", "100",
-                       "--functions", "2", "--output", str(path))
+    code, _, err = run(capsys, "report", "--max-degree", "1", "--functions", "2",
+                       "--output", str(path))
     assert code == 1
     assert line in err.splitlines()
     doc = json.loads(path.read_text())
@@ -166,8 +166,6 @@ def _monomial(degree: int) -> str:
 
 
 @pytest.mark.parametrize("argv, input_text", [
-    (["report", "--samples", "0"], None),
-    (["report", "--samples", "-3"], None),
     (["report", "--functions", "0"], None),
     (["report", "--functions", "-2"], None),
     (["report", "--seed", "-1"], None),
@@ -182,7 +180,7 @@ def _monomial(degree: int) -> str:
     (["basis", "--degree", "0", "--output", "TMP/missing/x.json"], None),
     (["report", "--golden-dir", "TMP/file/sub"], None),
     (["check", "--bounds", "sc", "--max-degree", "3", "--output", "TMP/missing/x.json"], None),
-], ids=["samples-0", "samples-negative", "functions-0", "functions-negative",
+], ids=["functions-0", "functions-negative",
         "report-seed-negative", "check-seed-negative", "bohr-tolerance-0",
         "bohr-tolerance-nan", "check-tolerance-0", "deeply-nested-json",
         "input-degree-over-cap", "max-degree-over-cap", "output-under-a-file",
@@ -257,8 +255,8 @@ def test_report_is_deterministic(capsys, tmp_path):
     outputs = []
     for name in ("a", "b"):
         path = tmp_path / f"report-{name}.json"
-        code = main(["report", "--max-degree", "1", "--samples", "100",
-                     "--functions", "2", "--output", str(path)])
+        code = main(["report", "--max-degree", "1", "--functions", "2",
+                     "--output", str(path)])
         capsys.readouterr()
         assert code == 0
         outputs.append(path.read_bytes())
@@ -266,8 +264,8 @@ def test_report_is_deterministic(capsys, tmp_path):
 
 
 def test_report_status_lines_follow_section_table(capsys, tmp_path):
-    code, _, err = run(capsys, "report", "--max-degree", "1", "--samples", "100",
-                       "--functions", "2", "--output", str(tmp_path / "r.json"))
+    code, _, err = run(capsys, "report", "--max-degree", "1", "--functions", "2",
+                       "--output", str(tmp_path / "r.json"))
     assert code == 0
     names = [line.split()[1].rstrip(":") for line in err.splitlines()]
     assert names == [path for path, *_ in SECTIONS]
@@ -278,8 +276,8 @@ def test_report_status_lines_follow_section_table(capsys, tmp_path):
 
 def test_report_at_degree_zero(capsys, tmp_path):
     # no constants-e1 degree is in range, so that norm check is empty
-    code, _, _ = run(capsys, "report", "--max-degree", "0", "--samples", "100",
-                     "--functions", "2", "--output", str(tmp_path / "r.json"))
+    code, _, _ = run(capsys, "report", "--max-degree", "0", "--functions", "2",
+                     "--output", str(tmp_path / "r.json"))
     assert code == 0
     doc = json.loads((tmp_path / "r.json").read_text())
     assert doc["norms"]["constants_scalar_norm_rel_error"] == 0.0
@@ -299,6 +297,16 @@ def test_report_golden_regeneration(capsys, tmp_path):
     axial = json.loads((tmp_path / "axial_closed_forms.json").read_text())
     assert axial["variants"]["binomial-falling"]["summary"]["disagree"] == 0
     assert (tmp_path / "taylor_closed_forms.json").exists()
+
+
+def test_report_refuses_the_removed_samples_flag(capsys):
+    # the polynomial family samples nothing, so `report` has no --samples
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--samples", "100"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --samples" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_subcommand_exits_two(capsys):
