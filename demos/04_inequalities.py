@@ -5,9 +5,9 @@ Inequality sweeps with witnessed tightness
 The coefficient bounds are verified over exact Taylor coefficients and
 the polynomial bound from each element's exact sphere norm (the addition
 theorem bounds sup |f| on the sphere by it).  The two sphere bounds check
-an exact factorization of each element's scalar part and then read one
-supremum per family.  Each sweep reports the largest ratio bound-side /
-bound and the cases where it reaches 1.
+an exact factorization of each element; the scalar part is a harmonic, so
+the same sphere-norm certificate decides its bound.  Each sweep reports the
+largest ratio certified sup / bound and the cases where it reaches 1.
 """
 
 from monokit import verify_corollary_bounds, verify_pointwise_bounds
@@ -30,8 +30,8 @@ for name, report in reports.items():
     if report.tight_cases:
         print(f"  tight (ratio = 1 within 1e-12) at: {report.tight_cases}")
 
-# Two ratio lemmas behind the Bohr estimate: the sup of |Sc| over the sphere
-# against the closed bound, for the order-0 and order-1 rows.
+# Two ratio lemmas behind the Bohr estimate: the certified sup of |Sc| over the
+# sphere against its squared norm times the closed bound, decided in rationals.
 sc = verify_sc_ratio_lemmas(8)
 print(f"\nscalar-part ratio lemmas, degrees 0..8: max ratio {sc.max_ratio:.6f} "
       f"-> passed={sc.passed}")

@@ -13,25 +13,25 @@ under 1 is min(r1, r2) with S1(r1) = S2(r2) = 1; the first series binds.
 Closed forms are canonical here, truncated partial sums are kept as an
 independent oracle.
 
-The verify_* functions sweep the coefficient and pointwise inequalities
+The verify_* functions decide the coefficient and pointwise inequalities
 (Taylor-coefficient bounds, pointwise polynomial bounds, scalar-part
-bounds) and report the worst observed/allowed ratio per claim.  Each sweep,
+bounds) and report the worst certified/allowed ratio per claim.  Each sweep,
 the empirical one too, only generates (ratio, samples, case) triples; one
 fold, _sweep, builds every report.  A bound sweep passes at a maximum of
 at most 1 + RATIO_SLACK, the empirical sweep only strictly below 1.
 
 If each component of f is harmonic and homogeneous of degree n, the addition
 theorem for spherical harmonics (Stein & Weiss 1971, ch. IV) gives sup_S |f|^2
-<= (2n+1)/4 ||f||^2/pi, _sphere_sup_sq.  The polynomial family decides each
-element with it, and the random test functions take their scale from it.
+<= (2n+1)/4 ||f||^2/pi, _sphere_sup_sq; _harmonic_sup_sq checks the premise.  It
+decides the polynomial family, the scalar-part family (Sc X^m_n is a harmonic of
+degree n) and its ratio lemmas, and scales the random test functions.
 
 The two sphere families check an exact factorization per element, Sc X^m_n =
-(n+1+m)/2 r^n U^m_n and (X^{n+1}_n)_1 = -(n+1)/2 (2n+1)!! Re (x1 + i x2)^n,
-then read one supremum per family, _sc_sup and _e1_sc_sup, which the ratio
-lemmas share; _sc_sup is the one bound that still samples (a t grid).
-So the scalar-part family and its ratio lemmas decide one inequality, sup
-|P^m_n| <= (n+m)!/n!, with equal maximum ratios (to 1e-15 relative) and tight
-cases (X:0 at n, (k=n, m=0)); the constants ratio lemma reads 1/2 at each k.
+(n+1+m)/2 r^n U^m_n and (X^{n+1}_n)_1 = -(n+1)/2 (2n+1)!! Re (x1 + i x2)^n.
+The scalar-part family and its ratio lemmas decide sup_S |Sc X^m_n| <= (n+1+m)!/
+(2 n!) in Fractions (pi times a lemma bound is rational): each ratio is the sqrt
+of one exact quotient, equal in both routes, 1 at m = 0.  The constants family
+reads its supremum _e1_sc_sup, its lemma exactly 1/2.  No bound family samples.
 
 The empirical sweep draws each random admissible f as a coefficient vector
 over the basis; no polynomial is built or expanded per function.  Its
@@ -43,15 +43,15 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .basis import (basis_elements, basis_for_degree, complex_power_parts,
-                    sc_norm_sq_closed, solid_harmonic)
+                    solid_harmonic, spherical_monogenic)
 from .fueter import taylor_coefficients
-from .legendre import assoc_legendre_float, double_factorial
-from .mpoly import eval_terms
+from .legendre import double_factorial
+from .moments import norm_sq_sphere
+from .mpoly import MPoly, eval_terms
 from .quadrature import FourierCoeffs, block_terms
 
 
@@ -268,15 +268,25 @@ def _sphere_sup_sq(n: int, norm_sq: Fraction) -> Fraction:
     return Fraction(2 * n + 1, 4) * norm_sq
 
 
+def _harmonic_sup_sq(p: MPoly, n: int, norm_sq: Fraction) -> Fraction | None:
+    """_sphere_sup_sq(n, norm_sq = ||p||^2/pi) if p is homogeneous of degree n with
+    a zero Laplacian, else None."""
+    harmonic = p.is_homogeneous() and p.degree() == n and p.laplacian().is_zero()
+    return _sphere_sup_sq(n, norm_sq) if harmonic else None
+
+
+def _decided_ratio(sup_sq: Fraction | None, bound: Fraction) -> float:
+    """sqrt(sup_sq / bound^2), one exact quotient; inf unless sup_sq <= bound^2."""
+    holds = sup_sq is not None and sup_sq <= bound * bound
+    return math.sqrt(sup_sq / (bound * bound)) if holds else math.inf
+
+
 def verify_polynomial_bounds(n_max: int) -> BoundCheckReport:
-    """|f(x)| <= pointwise_polynomial_bound(n, m) |x|^n for every element f, decided
-    exactly: f is homogeneous of degree n with a zero Laplacian, and _sphere_sup_sq
-    <= _PI_BELOW bound^2/pi.  A failed premise or comparison gives ratio inf."""
+    """|f(x)| <= pointwise_polynomial_bound(n, m) |x|^n for every element f, decided as
+    _harmonic_sup_sq <= _PI_BELOW bound^2/pi; a failed premise or comparison gives inf."""
     def ratio(n, e):
-        sup_sq = _sphere_sup_sq(n, e.norm_sq_S)
-        if not (e.poly.is_homogeneous() and e.poly.degree() == n
-                and e.poly.laplacian().is_zero()
-                and sup_sq <= _PI_BELOW * _pointwise_bound_sq_over_pi(n, e.index.m)):
+        sup_sq = _harmonic_sup_sq(e.poly, n, e.norm_sq_S)
+        if sup_sq is None or sup_sq > _PI_BELOW * _pointwise_bound_sq_over_pi(n, e.index.m):
             return math.inf
         return math.sqrt(sup_sq) / pointwise_polynomial_bound(n, e.index.m)
 
@@ -285,28 +295,21 @@ def verify_polynomial_bounds(n_max: int) -> BoundCheckReport:
         for n in range(n_max + 1) for e in basis_for_degree(n)))
 
 
-@lru_cache(maxsize=None)
-def _sc_sup(n: int, m: int) -> float:
-    """sup_S |Sc X^m_n| = (n+1+m)/2 sup |P^m_n|, the maximum over 20001 t values
-    with both endpoints (a grid value, so a lower bound on the supremum)."""
-    t = np.linspace(-1.0, 1.0, 20001)
-    return (n + 1 + m) / 2.0 * float(np.max(np.abs(assoc_legendre_float(n, m, t))))
-
-
 def _e1_sc_sup(n: int) -> Fraction:
     """sup_S |Sc(X^{n+1}_n e1)| = (n+1)/2 (2n+1)!!, attained on the equator."""
     return Fraction(n + 1, 2) * double_factorial(2 * n + 1)
 
 
 def verify_scalar_part_bounds(n_max: int) -> BoundCheckReport:
-    """sup_S |Sc X^m_n|, sup_S |Sc Y^m_n| <= (n+1+m)!/(2 n!) for m <= n; on S,
-    r^n U^m_n (V for Y) is P^m_n(t) cos(m phi) (sin).  A failed identity gives inf."""
+    """sup_S |Sc X^m_n|, sup_S |Sc Y^m_n| <= (n+1+m)!/(2 n!) for m <= n: Sc is (n+1+m)/2
+    r^n U^m_n (V for Y), and _harmonic_sup_sq(Sc) <= bound^2.  A failure gives inf."""
     def ratio(n, e):
         m = e.index.m
         harmonic = solid_harmonic(n, "U" if e.index.kind == "X" else "V", m)
-        if e.poly.sc() != Fraction(n + 1 + m, 2) * harmonic:
+        if (sc := e.poly.sc()) != Fraction(n + 1 + m, 2) * harmonic:
             return math.inf
-        return _sc_sup(n, m) / (0.5 * math.factorial(n + 1 + m) / math.factorial(n))
+        return _decided_ratio(_harmonic_sup_sq(sc, n, norm_sq_sphere(sc)),
+                              Fraction(math.factorial(n + 1 + m), 2 * math.factorial(n)))
 
     return _sweep("scalar-part-bounds", (0, n_max), (
         (ratio(n, e), 1, {"n": n, "index": e.index.label})
@@ -340,17 +343,15 @@ def verify_sc_ratio_lemmas(k_max: int) -> BoundCheckReport:
     """sup |Sc| / ||Sc||^2 against the per-order ratios used in the radius proof.
 
     m = 0 row: <= (1/(2 pi)) (2k+1)/(k+1); m = 1..k rows: <= (1/pi)
-    (2k+1)(k-m)!/((k+1+m) k!).  The supremum of |Sc X^m_k| is (n+1+m)/2
-    times the maximum of |P^m_k|, _sc_sup.
+    (2k+1)(k-m)!/((k+1+m) k!).  sup^2 is _harmonic_sup_sq(Sc), and ||Sc||^2/pi and
+    pi times the bound are rational, so sup <= ||Sc||^2 bound is decided in Fractions.
     """
     def ratio(k: int, m: int) -> float:
-        norm_sq = float(sc_norm_sq_closed(k, m)) * math.pi
-        if m == 0:
-            bound = (2 * k + 1) / (2.0 * math.pi * (k + 1))
-        else:
-            bound = ((2 * k + 1) * math.factorial(k - m)
-                     / (math.pi * (k + 1 + m) * math.factorial(k)))
-        return (_sc_sup(k, m) / norm_sq) / bound
+        sc = spherical_monogenic(k, "X", m).poly.sc()
+        norm_sq = norm_sq_sphere(sc)
+        bound_pi = (Fraction(2 * k + 1, 2 * (k + 1)) if m == 0 else Fraction(
+            (2 * k + 1) * math.factorial(k - m), (k + 1 + m) * math.factorial(k)))
+        return _decided_ratio(_harmonic_sup_sq(sc, k, norm_sq), norm_sq * bound_pi)
 
     return _sweep("scalar-ratio-lemmas", (0, k_max), (
         (ratio(k, m), 1, {"k": k, "m": m}) for k in range(k_max + 1) for m in range(k + 1)))
@@ -363,15 +364,13 @@ def verify_constants_ratio_lemma(k_max: int) -> BoundCheckReport:
     of cos^2(k phi) jumps from 1/2 to 1 there); the report keeps k = 0 out of
     the pass flag and states it in its note instead.
     """
-    def ratio(k: int) -> float:
-        norm_sq = math.pi * (k + 1) ** 2 * math.factorial(2 * k + 1) / 2.0
-        bound = 2.0 / (math.pi * 2 ** k * math.factorial(k + 1))
-        return (float(_e1_sc_sup(k)) / norm_sq) / bound
+    def ratio(k: int) -> float:  # ||...||^2/pi and the bound times pi, exact
+        norm_sq = Fraction((k + 1) ** 2 * math.factorial(2 * k + 1), 2)
+        return float(_e1_sc_sup(k) / (norm_sq * Fraction(2, 2 ** k * math.factorial(k + 1))))
 
     report = _sweep("constants-ratio-lemma", (1, k_max),
                     ((ratio(k), 1, {"k": k}) for k in range(1, k_max + 1)))
-    k0_ratio = (0.5 / math.pi) / (2.0 / math.pi)
-    report.note = f"k=0 X-branch ratio {k0_ratio} vs printed bound 1"
+    report.note = f"k=0 X-branch ratio {(0.5 / math.pi) / (2.0 / math.pi)} vs printed bound 1"
     return report
 
 

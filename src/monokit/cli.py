@@ -11,7 +11,7 @@ Subcommands:
 Machine-readable output goes to stdout (or --output); PASS/FAIL summary
 lines go to stderr, from one table, report.SECTIONS, for `check` and
 `report` alike; `check` runs the gram row and the --bounds families it names,
-each once, in flag order.  Identical (command, flags, seed) produce identical
+each once, in flag order.  Identical (command, flags) produce identical
 output bytes.  Exit status: 0 all invoked checks pass, 1 a check failed,
 2 configuration error (an unwritable --output or --golden-dir included).
 """
@@ -143,7 +143,7 @@ def cmd_check(args) -> int:
         raise ConfigError("--max-degree must be >= 0")
     names = (["gram"] if args.gram else []) + args.bounds  # none asked for: every row
     rows = [CHECK_SECTIONS[name] for name in dict.fromkeys(names or CHECK_SECTIONS)]
-    config = {"max_degree": args.max_degree, "tolerance": args.tolerance, "seed": args.seed}
+    config = {"max_degree": args.max_degree, "tolerance": args.tolerance}
     doc = report_mod.build_sections(
         {"schema": report_mod.SCHEMA, "command": "check", "config": config}, rows, config)
     status = report_mod.section_status(doc, rows)
@@ -216,6 +216,8 @@ def cmd_report(args) -> int:
         raise ConfigError("--max-degree must be >= 0")
     if args.functions < 1:
         raise ConfigError("--functions must be >= 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     if args.golden_dir:
         golden = Path(args.golden_dir)
         try:
@@ -249,14 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact monogenic polynomial bases on the unit ball of R^3,"
                     " their inequalities, and the associated Bohr-type radius")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=1e-10,
-                        help="numeric acceptance tolerance (default 1e-10)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="PRNG seed for sampling checks (default 0)")
     common.add_argument("--format", choices=("json", "md", "csv"), default="json",
                         help="output format (default json)")
     common.add_argument("--output", metavar="PATH", default=None,
                         help="write the document here instead of stdout")
+    checking = argparse.ArgumentParser(add_help=False, parents=[common])
+    checking.add_argument("--tolerance", type=float, default=1e-10,
+                          help="numeric acceptance tolerance (default 1e-10)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("basis", parents=[common],
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(fn=cmd_basis)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[checking],
                        help="Gram identity and/or inequality sweeps")
     p.add_argument("--gram", action="store_true", help="check the ball Gram matrix")
     p.add_argument("--bounds", action="append", default=[],
@@ -286,17 +287,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=None)
     p.set_defaults(fn=cmd_fourier)
 
-    p = sub.add_parser("bohr", parents=[common],
+    p = sub.add_parser("bohr", parents=[checking],
                        help="series thresholds and margins")
     p.add_argument("--at", type=float, action="append", default=[],
                    metavar="R", help="extra radius to tabulate (repeatable)")
     p.set_defaults(fn=cmd_bohr)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[checking],
                        help="full verification document")
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--functions", type=int, default=100,
                    help="empirical radius-test function count (default 100)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="PRNG seed of the empirical test functions (default 0)")
     p.add_argument("--golden-dir", metavar="DIR", default=None,
                    help="write only the closed-form agreement tables into DIR")
     p.set_defaults(fn=cmd_report)
@@ -307,10 +310,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # options every subcommand shares; NaN fails the tolerance test too
-        if args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        if not args.tolerance > 0:
+        # options several subcommands share; NaN fails the tolerance test too
+        if "tolerance" in args and not args.tolerance > 0:
             raise ConfigError("--tolerance must be > 0")
         if args.output:
             parent = Path(args.output).parent

@@ -94,19 +94,21 @@ def test_criterion_6_bound_sweeps():
     exact_n0 = (polynomial.samples == 99
                 and polynomial.max_ratio == 0.5 / pointwise_polynomial_bound(0, 0)
                 and polynomial.worst_case == {"n": 0, "index": "X:0"})
-    tight_sc = all({"n": n, "index": "X:0"} in pointwise["scalar-part"].tight_cases
-                   for n in range(9))
+    tight_sc = (pointwise["scalar-part"].max_ratio == 1.0
+                and all({"n": n, "index": "X:0"} in pointwise["scalar-part"].tight_cases
+                        for n in range(9)))
     tight_const = all({"n": n, "kind": kind} in pointwise["constants-e1"].tight_cases
                       for n in range(9) for kind in ("X", "Y") if n or kind == "X")
-    ok = (corollary.passed and all(r.passed for r in pointwise.values())
+    ok = (corollary.passed and all(r.passed and r.max_ratio <= 1.0 for r in pointwise.values())
           and exact_n0 and tight_sc and tight_const)
     ratios = {name: round(r.max_ratio, 15) for name, r in pointwise.items()}
-    emit(6, "coefficient and pointwise bounds, n<=8, polynomial family certified from"
-         " exact sphere norms (one case per element), scalar-part and constants-e1"
-         " read from exact identities", ok,
+    emit(6, "coefficient and pointwise bounds, n<=8, polynomial and scalar-part sups"
+         " certified from exact sphere norms (one case per element), scalar-part"
+         " factorization and constants-e1 read from exact identities", ok,
          f"corollary max {corollary.max_ratio:.4f}, pointwise max {ratios}, polynomial"
-         f" worst X:0 at n=0 (sqrt(1/4)/bound), tight (ratio=1 within 1e-12):"
-         f" scalar-part X:0 at n=0..8, constants-e1 X at n=0..8 and Y at n=1..8")
+         f" worst X:0 at n=0 (sqrt(1/4)/bound), every family max <= 1 with no slack,"
+         f" scalar-part max exactly 1, tight (ratio=1 within 1e-12): scalar-part"
+         f" X:0 at n=0..8, constants-e1 X at n=0..8 and Y at n=1..8")
 
 
 def test_criterion_7_radius_thresholds():

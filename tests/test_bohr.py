@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from monokit import bohr as bohr_mod
-from monokit.basis import basis_for_degree
+from monokit.basis import basis_for_degree, spherical_monogenic
 from monokit.bohr import (bohr_radius, coefficient_domination, empirical_bohr_sum,
                           empirical_bohr_sweep, random_test_function,
                           series_f1_threshold, series_f1_threshold_truncated,
@@ -16,6 +16,8 @@ from monokit.bohr import (bohr_radius, coefficient_domination, empirical_bohr_su
                           verify_constants_ratio_lemma, verify_corollary_bounds,
                           verify_pointwise_bounds, verify_sc_ratio_lemmas,
                           verify_scalar_part_bounds)
+from monokit.legendre import assoc_legendre_float
+from monokit.moments import norm_sq_sphere
 from monokit.quadrature import QuadratureRule, fourier_expand, fourier_synthesize
 
 R1 = 0.049583846938703394
@@ -206,6 +208,42 @@ def test_scalar_part_family_fails_on_a_broken_factorization(monkeypatch):
     assert report.worst_case == {"n": 3, "index": "Y:2"}
 
 
+def test_scalar_part_family_fails_on_a_non_harmonic_scalar_part(monkeypatch):
+    from monokit.basis import BasisElement
+    from monokit.mpoly import MPoly
+    extra = MPoly.monomial((1, 2, 0), 1)  # x0 x1^2, Laplacian 2 x0
+    real_basis, real_harmonic = bohr_mod.basis_for_degree, bohr_mod.solid_harmonic
+
+    def broken(n):
+        if n != 3:
+            return real_basis(n)
+        return tuple(BasisElement(e.index, e.poly + extra)
+                     if e.index.label == "Y:2" else e for e in real_basis(n))
+
+    # Sc Y^2_3 = 3 V^2_3 still factors, so only the premise can fail
+    monkeypatch.setattr(bohr_mod, "basis_for_degree", broken)
+    monkeypatch.setattr(bohr_mod, "solid_harmonic", lambda deg, kind, m: (
+        real_harmonic(deg, kind, m) + extra / 3 if (deg, kind, m) == (3, "V", 2)
+        else real_harmonic(deg, kind, m)))
+    report = verify_scalar_part_bounds(4)
+    assert not report.passed and report.max_ratio == math.inf
+    assert report.worst_case == {"n": 3, "index": "Y:2"}
+
+
+def test_scalar_part_family_certifies_above_the_t_grid():
+    # reference oracle: the 20,001-point t grid of |P^m_n| never exceeds the
+    # certified sup of Sc X^m_n = (n+1+m)/2 r^n U^m_n; both read (n+1)/2 at m = 0
+    t = np.linspace(-1.0, 1.0, 20001)
+    for n in range(13):
+        for m in range(n + 1):
+            grid = (n + 1 + m) / 2.0 * float(np.max(np.abs(assoc_legendre_float(n, m, t))))
+            sc = spherical_monogenic(n, "X", m).poly.sc()
+            certified = math.sqrt(bohr_mod._harmonic_sup_sq(sc, n, norm_sq_sphere(sc)))
+            assert grid <= certified * (1.0 + 1e-12)
+            if m == 0:
+                assert grid == certified == (n + 1) / 2
+
+
 def test_constants_family_fails_on_a_broken_factorization(monkeypatch):
     real = bohr_mod.complex_power_parts
     monkeypatch.setattr(bohr_mod, "complex_power_parts", lambda m: (
@@ -226,17 +264,17 @@ def test_ratio_lemmas():
 
 
 def test_scalar_part_family_and_its_ratio_lemmas_decide_the_same_inequality():
-    # both read sup |P^m_n| <= (n+m)!/n! through _sc_sup, so they move together
+    # both decide sup |Sc X^m_n| <= (n+1+m)!/(2 n!) from one exact quotient
     for n in range(9):
         sc, lemmas = verify_scalar_part_bounds(n), verify_sc_ratio_lemmas(n)
-        assert sc.max_ratio == pytest.approx(lemmas.max_ratio, rel=1e-15, abs=0)
+        assert sc.max_ratio == lemmas.max_ratio == 1.0
         assert ([(case["n"], case["index"]) for case in sc.tight_cases]
                 == [(case["k"], f"X:{case['m']}") for case in lemmas.tight_cases])
         constants = verify_constants_ratio_lemma(n)
         if n == 0:  # the lemma starts at k = 1
             assert constants.samples == 0
         else:
-            assert constants.max_ratio == pytest.approx(0.5, rel=1e-15, abs=0)
+            assert constants.max_ratio == 0.5
 
 
 def test_random_function_hypotheses():

@@ -169,7 +169,6 @@ def _monomial(degree: int) -> str:
     (["report", "--functions", "0"], None),
     (["report", "--functions", "-2"], None),
     (["report", "--seed", "-1"], None),
-    (["check", "--seed", "-1"], None),
     (["bohr", "--tolerance", "0"], None),
     (["bohr", "--tolerance", "nan"], None),
     (["check", "--tolerance", "0"], None),
@@ -181,7 +180,7 @@ def _monomial(degree: int) -> str:
     (["report", "--golden-dir", "TMP/file/sub"], None),
     (["check", "--bounds", "sc", "--max-degree", "3", "--output", "TMP/missing/x.json"], None),
 ], ids=["functions-0", "functions-negative",
-        "report-seed-negative", "check-seed-negative", "bohr-tolerance-0",
+        "report-seed-negative", "bohr-tolerance-0",
         "bohr-tolerance-nan", "check-tolerance-0", "deeply-nested-json",
         "input-degree-over-cap", "max-degree-over-cap", "output-under-a-file",
         "output-in-missing-dir", "golden-dir-under-a-file", "check-output-in-missing-dir"])
@@ -306,6 +305,19 @@ def test_report_refuses_the_removed_samples_flag(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments: --samples" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["check", "--seed", "1"],
+                                  ["basis", "--degree", "0", "--tolerance", "1e-3"]],
+                         ids=["check-seed", "basis-tolerance"])
+def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
+    # --seed is report's only; --tolerance is check's, bohr's and report's
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
     assert "Traceback" not in err
 
 
