@@ -50,7 +50,7 @@ class BasisIndex:
         if not low <= self.m <= self.n + 1:
             raise ValueError(f"order {self.m} out of range for {self.kind} at degree {self.n}")
 
-    @property
+    @cached_property
     def label(self) -> str:
         return f"{self.kind}:{self.m}"
 
@@ -143,13 +143,14 @@ def spherical_monogenic(n: int, kind: str, m: int) -> BasisElement:
     return BasisElement(index, harmonic.dirac_bar() / 2)
 
 
-def degree_indices(n: int) -> list[BasisIndex]:
-    """Canonical ordering: X:0, X:1, Y:1, ..., X:n+1, Y:n+1 (2n+3 entries)."""
+@lru_cache(maxsize=None)
+def degree_indices(n: int) -> tuple[BasisIndex, ...]:
+    """Canonical ordering: X:0, X:1, Y:1, ..., X:n+1, Y:n+1 (2n+3 entries), shared."""
     out = [BasisIndex("X", n, 0)]
     for m in range(1, n + 2):
         out.append(BasisIndex("X", n, m))
         out.append(BasisIndex("Y", n, m))
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -34,8 +34,9 @@ of one exact quotient, equal in both routes, 1 at m = 0.  The constants family
 reads its supremum _e1_sc_sup, its lemma exactly 1/2.  No bound family samples.
 
 The empirical sweep draws each random admissible f as a coefficient vector
-over the basis; no polynomial is built or expanded per function.  Its
-theta-phi grids stay factored (columns cos, sin theta; a phi row) for eval_terms.
+over the basis; no polynomial is built or expanded per function.  Its 65 x 128
+theta-phi grid stays factored (columns cos, sin theta; a phi row), its power
+tables built once.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,8 +53,8 @@ from .basis import (basis_elements, basis_for_degree, complex_power_parts,
 from .fueter import taylor_coefficients
 from .legendre import double_factorial
 from .moments import norm_sq_sphere
-from .mpoly import MPoly, eval_terms
-from .quadrature import FourierCoeffs, block_terms
+from .mpoly import MPoly, grid_powers
+from .quadrature import FourierCoeffs, block_values
 
 
 # -- majorant series -----------------------------------------------------------
@@ -377,11 +379,12 @@ def verify_constants_ratio_lemma(k_max: int) -> BoundCheckReport:
 # -- empirical Bohr property -----------------------------------------------------
 
 
-def _sphere_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Theta-phi grid on S, poles included, as eval_terms takes it: cos, sin theta; phi."""
-    theta = np.linspace(0.0, np.pi, n_theta)[:, None]
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)[None, :]
-    return np.cos(theta), np.sin(theta), phi
+@lru_cache(maxsize=None)
+def _bohr_grid_powers(top: int) -> tuple[np.ndarray, ...]:
+    """grid_powers of empirical_bohr_sum's 65 x 128 theta-phi grid on S, poles included."""
+    theta = np.linspace(0.0, np.pi, 65)[:, None]
+    phi = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)[None, :]
+    return grid_powers(np.cos(theta), np.sin(theta), phi, top)
 
 
 def random_test_function(rng: np.random.Generator, max_degree: int = 5) -> FourierCoeffs:
@@ -419,11 +422,12 @@ def empirical_bohr_sum(coeffs: FourierCoeffs, r: float) -> float:
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"need 0 <= r < 1, got {r}")
-    grid = _sphere_grid(65, 128)
-    total = 0.0
+    powers = _bohr_grid_powers(coeffs.max_degree)
+    square, total = np.empty((65, 128)), 0.0
     for n in range(coeffs.max_degree + 1):
-        values = eval_terms(block_terms(n, coeffs.block(n)), *grid)
-        total += r ** n * math.sqrt((values ** 2).sum(axis=-1).max())
+        values = block_values(coeffs, n, powers)
+        np.einsum("k...,k...->...", values, values, out=square)  # |block|^2, no BLAS
+        total += r ** n * math.sqrt(square.max())
     return total
 
 

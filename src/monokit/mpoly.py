@@ -19,10 +19,10 @@ left:
 A polynomial is (left) monogenic when dirac(f) == 0.  dirac(dirac_bar(f))
 is the Laplacian in the three variables.
 
-Float evaluation has one path, eval_terms, at points given as (x0, rho,
-phi) with x1 = rho cos phi and x2 = rho sin phi, binning terms by their x0
-and rho powers and summing the bins of a component in one einsum; sphere
-grids stay factored that way, and eval_grid converts Cartesian points once.
+Float evaluation has one kernel, eval_bins, at points given as (x0, rho, phi)
+with x1 = rho cos phi and x2 = rho sin phi: padded tables binned by the x0 and
+rho powers, one einsum per polynomial and component.  eval_terms lays out one
+term list for it; eval_grid converts Cartesian points once.
 
 Example
 -------
@@ -47,7 +47,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .quaternion import E1, E2, Quaternion, frac, Rational
+from .quaternion import E1, E2, Quaternion, frac, parse_components, Rational
 
 Exponent = tuple[int, int, int]
 Point3 = tuple[Fraction, Fraction, Fraction]
@@ -284,16 +284,18 @@ class MPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> MPoly:
-        out = {}
+        parts = {}
         for term in data["terms"]:
             exp = tuple(term["e"])
             # bool is an int subclass, so compare types exactly
             if len(exp) != 3 or not all(type(e) is int and e >= 0 for e in exp):
                 raise ValueError(f"exponent triple of ints >= 0 expected, got {term['e']}")
-            if exp in out:
+            if exp in parts:
                 raise ValueError(f"exponent {term['e']} appears twice")
-            out[exp] = Quaternion.from_strings(term["c"])
-        return cls(out)
+            parts[exp] = parse_components(term["c"])
+        den = math.lcm(*(q for comps in parts.values() for _, q in comps))
+        return cls._from_ints(den, {exp: [p * (den // q) for p, q in comps]
+                                    for exp, comps in parts.items()})
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -328,51 +330,65 @@ def sum_of_products(pairs) -> MPoly:
 
 
 def _powers(v: np.ndarray, top: int) -> np.ndarray:
-    """v^0 .. v^top by repeated multiplication, stacked on a new first axis."""
+    """v^0 .. v^top by repeated multiplication, stacked on a new first axis, read-only."""
     table = np.empty((top + 1,) + v.shape)
     table[0] = 1.0
     for k in range(1, top + 1):
         # table[k, ...] stays an array view when v is 0-d; table[k] would not
         np.multiply(table[k - 1], v, out=table[k, ...])
+    table.flags.writeable = False
     return table
+
+
+def grid_powers(x0, rho, phi, top: int) -> tuple[np.ndarray, ...]:
+    """x0^k, rho^k on their broadcast shape and cos^k, sin^k of phi on its shape, k = 0..top."""
+    x0, rho = np.broadcast_arrays(np.asarray(x0, dtype=float), np.asarray(rho, dtype=float))
+    return tuple(_powers(v, top) for v in (x0, rho, np.cos(phi), np.sin(phi)))
+
+
+def eval_bins(table, bins, powers) -> np.ndarray:
+    """The float kernel: E padded bin tables at the points of powers (grid_powers); (E, 4) + grid.
+
+    table[e, k, i, b] is component k of polynomial e on x0^a rho^s cos^b sin^(s-b),
+    (a, s) = bins[i]; the slots b ascend and b > s is zero padding.  Rows comps *
+    cos^b * sin^(s-b) are summed slot by slot from zero, then each live (e, k) is
+    one einsum (no BLAS) over the bin axis with the columns x0^a rho^s, adding the
+    bins in order; an (e, k) zero in every slot is skipped.
+    """
+    x0_pow, rho_pow, cos_pow, sin_pow = powers
+    a, s = np.asarray(bins, dtype=int).reshape(-1, 2).T
+    live = table.any(axis=(2, 3))
+    comps = np.flatnonzero(live.any(axis=0))
+    coeffs = table[:, comps][(...,) + (None,) * (cos_pow.ndim - 1)]  # onto the phi shape
+    rows = np.zeros(coeffs.shape[:3] + cos_pow.shape[1:])
+    term = np.empty_like(rows)  # one buffer for the products of every slot
+    for b in range(table.shape[3]):
+        np.multiply(coeffs[:, :, :, b], cos_pow[b], out=term)
+        rows += np.multiply(term, sin_pow[np.maximum(s - b, 0)], out=term)
+    radial = x0_pow[a] * rho_pow[s]
+    out = np.empty(table.shape[:2] + np.broadcast_shapes(radial.shape[1:], cos_pow.shape[1:]))
+    out[~live] = 0.0  # einsum zeroes the live ones before it adds
+    for e, i in zip(*np.nonzero(live[:, comps])):
+        # out[e, k, ...] stays an array view when the points are 0-d; out[e, k] would not
+        np.einsum("b...,b...->...", radial, rows[e, i], out=out[e, comps[i], ...])
+    return out
 
 
 def eval_terms(terms, x0, rho, phi) -> np.ndarray:
     """The one float evaluator: (exponent, 4 floats) terms at x1 = rho cos phi, x2 = rho sin phi.
 
-    Terms are binned by x0 power a and rho power b + c: a bin is one radial
-    column x0^a rho^(b+c) on the (x0, rho) shape times, per component, one
-    row sum comps * cos^b sin^c on the phi shape.  The columns and the rows
-    are stacked over the bins, and each component is one einsum (no BLAS)
-    over the bin axis, which adds the bins in sorted order; terms are sorted
-    within a bin, a component zero in every term is skipped, and a bin where
-    it is zero gives it a zero row.  Returns broadcast shape + (4,).
+    x0^a x1^b x2^c is x0^a rho^(b+c) cos^b sin^c, so the terms fill a padded table
+    for eval_bins, bins (a, b+c) in sorted order and slot b; the order of the terms
+    does not matter.  Returns grid + (4,).
     """
-    x0, rho = np.broadcast_arrays(np.asarray(x0, dtype=float), np.asarray(rho, dtype=float))
-    phi = np.asarray(phi, dtype=float)
-    out = np.zeros((4,) + np.broadcast_shapes(x0.shape, phi.shape))
-    bins: dict[tuple[int, int], list] = {}
-    for (a, b, c), comps in sorted(terms, key=lambda term: term[0]):
-        bins.setdefault((a, b + c), []).append((b, c, comps))
-    if not bins:
-        return np.moveaxis(out, 0, -1)
-    keys = sorted(bins)
-    x0_pow = _powers(x0, max(a for a, _ in keys))
-    rho_pow = _powers(rho, max(s for _, s in keys))
-    cos_pow = _powers(np.cos(phi), max(b for group in bins.values() for b, _, _ in group))
-    sin_pow = _powers(np.sin(phi), max(c for group in bins.values() for _, c, _ in group))
-    radial = np.empty((len(keys),) + x0.shape)
-    rows = np.empty((len(keys),) + phi.shape)
-    for i, (a, s) in enumerate(keys):
-        # [i, ...] and [k, ...] stay array views when the points are 0-d; [i] would not
-        np.multiply(x0_pow[a], rho_pow[s], out=radial[i, ...])
-    for k in range(4):
-        if any(comps[k] for group in bins.values() for _, _, comps in group):
-            for i, key in enumerate(keys):
-                rows[i] = sum([comps[k] * cos_pow[b] * sin_pow[c]
-                               for b, c, comps in bins[key] if comps[k]])
-            np.einsum("b...,b...->...", radial, rows, out=out[k, ...])
-    return np.moveaxis(out, 0, -1)
+    terms = list(terms)  # each term is added into its own zero cell, so any order will do
+    bins = sorted({(a, b + c) for (a, b, c), _ in terms})
+    index = {key: i for i, key in enumerate(bins)}
+    table = np.zeros((1, 4, len(bins), max((s + 1 for _, s in bins), default=0)))
+    np.add.at(table[0], (slice(None), [index[a, b + c] for (a, b, c), _ in terms],
+                         [b for (_, b, _), _ in terms]), np.array([comps for _, comps in terms]).T)
+    powers = grid_powers(x0, rho, phi, max(map(max, bins), default=0))
+    return np.moveaxis(eval_bins(table, bins, powers)[0], 0, -1)
 
 
 X0 = MPoly.variable(0)

@@ -15,12 +15,11 @@ and are used by the tests to pin these numbers down.
 Every float inner product between basis elements reads one memoized
 sample array (basis_samples) and reduces it over the nodes with a single
 np.einsum, without BLAS, so repeated runs produce byte-identical results.
-Synthesis folds each degree block into one coefficient per monomial
-(block_terms: one einsum with block_table, read from the elements' float
-terms); mpoly.eval_terms evaluates one block or the whole series as one
-polynomial, never an array with an element axis, and sums its (x0, rho)
-power bins in one einsum per component.  The rule grid stays factored for
-it: t and sqrt(1 - t^2) columns, a phi row.
+Each degree block is one padded table (block_table) with an element axis:
+basis_samples evaluates it with mpoly.eval_bins in one call, and synthesis
+(block_values) first folds its elements into one coefficient per monomial
+by one einsum.  The rule grid stays factored: t and sqrt(1 - t^2) columns,
+a phi row.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import basis_elements, basis_for_degree, degree_indices
-from .mpoly import Exponent, MPoly, eval_terms
+from .mpoly import MPoly, eval_bins, eval_terms, grid_powers
 from .quaternion import E1, E2, E3, ONE
 
 
@@ -142,13 +141,13 @@ class FourierCoeffs:
 def basis_samples(rule: QuadratureRule, max_degree: int) -> np.ndarray:
     """Raw basis polynomials on the rule grid, shape (elements, n_t, n_phi, 4).
 
-    Elements are ordered as basis_elements(max_degree).  The array is
-    memoized per rule and degree (the 16 most recent, a few MB at most
-    each) and shared by every caller, so it is read-only.
+    Elements are ordered as basis_elements(max_degree), one eval_bins call per
+    block_table.  The array is memoized per rule and degree (the 16 most recent,
+    a few MB at most each) and shared by every caller, so it is read-only.
     """
-    grid = rule.grid()
-    samples = np.stack([eval_terms(e.poly.float_terms(), *grid)
-                        for e in basis_elements(max_degree)])
+    powers = grid_powers(*rule.grid(), max_degree)
+    samples = np.concatenate([eval_bins(*block_table(n), powers) for n in range(max_degree + 1)])
+    samples = np.moveaxis(samples, 1, -1)
     samples.flags.writeable = False
     return samples
 
@@ -196,32 +195,37 @@ def fourier_expand(f: MPoly, max_degree: int, rule: QuadratureRule) -> FourierCo
 
 
 @lru_cache(maxsize=None)
-def block_table(n: int) -> tuple[tuple[Exponent, ...], np.ndarray]:
-    """The degree-n block as one read-only, shared coefficient table.
+def block_table(n: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """The degree-n block as eval_bins' table and bins, shared; the table is read-only.
 
-    Returns the sorted exponents of the elements and a (2n+3, M, 4) array whose
-    [i, j] is element i's coefficient on exponent j, in degree_indices(n) order.
+    table[i, k, a, b] is component k of element i (degree_indices(n) order) on
+    x0^a x1^b x2^(n-a-b), zero for b > n - a, so bin a is (a, n - a).  The table
+    is (2n+3, 4, n+1, n+1), under 50 KB at n = 8.
     """
-    elements = basis_for_degree(n)
-    exps = tuple(sorted({exp for e in elements for exp in e.poly.ints}))
-    rows = [dict(e.poly.float_terms()) for e in elements]
-    table = np.array([[row.get(exp, (0.0,) * 4) for exp in exps] for row in rows])
+    table = np.zeros((2 * n + 3, 4, n + 1, n + 1))
+    for i, e in enumerate(basis_for_degree(n)):
+        for (a, b, _), comps in e.poly.float_terms():
+            table[i, :, a, b] = comps
     table.flags.writeable = False
-    return exps, table
+    return table, tuple((a, n - a) for a in range(n + 1))
 
 
-def block_terms(n: int, alphas):
-    """Block n of the series, alphas in degree_indices(n) order, as (exponent, 4 floats) terms."""
-    exps, table = block_table(n)
-    scale = np.asarray(alphas, dtype=float) * math.sqrt(2 * n + 3)
+def block_values(coeffs: FourierCoeffs, n: int, powers) -> np.ndarray:
+    """Block n of the series at the points of powers (mpoly.grid_powers), shape (4,) + grid.
+
+    One einsum (no BLAS) contracts the weights sqrt(2n+3) alpha / norm_S with block_table.
+    """
+    table, bins = block_table(n)
+    scale = np.asarray(coeffs.block(n), dtype=float) * math.sqrt(2 * n + 3)
     scale = scale / sphere_norms(basis_for_degree(n))
-    return zip(exps, np.einsum("i,imc->mc", scale, table))
+    return eval_bins(np.einsum("i,i...->...", scale, table)[None], bins, powers)[0]
 
 
 def fourier_synthesize(coeffs: FourierCoeffs, x0, rho, phi) -> np.ndarray:
-    """Evaluate the truncated series as one polynomial at (x0, rho, phi), as eval_terms; grid+(4,)."""
-    terms = [t for n in range(coeffs.max_degree + 1) for t in block_terms(n, coeffs.block(n))]
-    return eval_terms(terms, x0, rho, phi)
+    """The truncated series at (x0, rho, phi), as eval_terms, block by block; grid+(4,)."""
+    powers = grid_powers(x0, rho, phi, coeffs.max_degree)
+    return np.moveaxis(sum(block_values(coeffs, n, powers)
+                           for n in range(coeffs.max_degree + 1)), 0, -1)
 
 
 def gram_matrix_ball(max_degree: int) -> np.ndarray:

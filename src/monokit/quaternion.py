@@ -39,11 +39,26 @@ def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def parse_frac_parts(text) -> tuple[int, int]:
+    """Exactly 'p/q' with integers p and q > 0, as (p, q) in lowest terms."""
+    match = re.fullmatch(r"(-?[0-9]+)/(0*[1-9][0-9]*)", text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"rational 'p/q' with q > 0 expected, got {text!r}")
+    p, q = int(match[1]), int(match[2])
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
 def parse_frac_str(text) -> Fraction:
     """Inverse of frac_str: exactly 'p/q' with integers p and q > 0."""
-    if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+/0*[1-9][0-9]*", text):
-        raise ValueError(f"rational 'p/q' with q > 0 expected, got {text!r}")
-    return Fraction(text)
+    return Fraction(*parse_frac_parts(text))
+
+
+def parse_components(items) -> list[tuple[int, int]]:
+    """The wire form of a quaternion, a list of 4 'p/q' strings, as 4 (p, q) pairs."""
+    if not isinstance(items, list) or len(items) != 4:
+        raise ValueError("need a list of 4 components")
+    return [parse_frac_parts(s) for s in items]
 
 
 class Quaternion:
@@ -166,9 +181,7 @@ class Quaternion:
 
     @classmethod
     def from_strings(cls, items) -> Quaternion:
-        if not isinstance(items, list) or len(items) != 4:
-            raise ValueError("need a list of 4 components")
-        return cls(*[parse_frac_str(s) for s in items])
+        return cls(*[Fraction(p, q) for p, q in parse_components(items)])
 
 
 def reduced(a: Union[Rational, str] = 0, b: Union[Rational, str] = 0,

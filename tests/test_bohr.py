@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from monokit import bohr as bohr_mod
-from monokit.basis import basis_for_degree, spherical_monogenic
+from monokit.basis import basis_for_degree, degree_indices, spherical_monogenic
 from monokit.bohr import (bohr_radius, coefficient_domination, empirical_bohr_sum,
                           empirical_bohr_sweep, random_test_function,
                           series_f1_threshold, series_f1_threshold_truncated,
@@ -18,7 +18,10 @@ from monokit.bohr import (bohr_radius, coefficient_domination, empirical_bohr_su
                           verify_scalar_part_bounds)
 from monokit.legendre import assoc_legendre_float
 from monokit.moments import norm_sq_sphere
-from monokit.quadrature import QuadratureRule, fourier_expand, fourier_synthesize
+from monokit.mpoly import eval_terms
+from monokit.quadrature import (FourierCoeffs, QuadratureRule, block_values, fourier_expand,
+                                fourier_synthesize)
+from reference_routes import block_terms, sphere_grid
 
 R1 = 0.049583846938703394
 R2 = 0.5695633074465153
@@ -347,6 +350,31 @@ def test_empirical_sum_matches_per_element_reference():
             block += c * math.sqrt(2 * n + 3) / float(e.norm_S) * e.poly.eval_grid(*grid)
         reference += r ** n * float(np.sqrt((block ** 2).sum(axis=-1)).max())
     assert empirical_bohr_sum(coeffs, r) == pytest.approx(reference, rel=1e-13)
+
+
+def _per_block_bohr_sum(coeffs, r):
+    # reference: each block folded to one term list and evaluated by eval_terms
+    grid = sphere_grid(65, 128)
+    total = 0.0
+    for n in range(coeffs.max_degree + 1):
+        values = eval_terms(block_terms(n, coeffs.block(n)), *grid)
+        total += r ** n * math.sqrt((values ** 2).sum(axis=-1).max())
+    return total
+
+
+def test_empirical_sum_equals_the_per_block_route_bit_for_bit():
+    rng = np.random.default_rng(23)
+    draws = [random_test_function(rng) for _ in range(20)]
+    draws.append(FourierCoeffs(8, {(ix.n, ix.label): float(rng.normal())
+                                   for n in range(9) for ix in degree_indices(n)}))
+    for coeffs in draws:
+        for r in (0.049, 0.9):
+            assert empirical_bohr_sum(coeffs, r) == _per_block_bohr_sum(coeffs, r)
+    # the blocks themselves, on every node of the grid
+    powers, grid = bohr_mod._bohr_grid_powers(8), sphere_grid(65, 128)
+    for n in range(9):
+        values = np.moveaxis(block_values(draws[-1], n, powers), 0, -1)
+        assert values.tobytes() == eval_terms(block_terms(n, draws[-1].block(n)), *grid).tobytes()
 
 
 def test_empirical_sweep_small():

@@ -47,6 +47,13 @@ def test_check_gram(capsys):
     assert "PASS gram" in err
 
 
+def test_check_records_the_tolerance_only_when_the_gram_row_runs(capsys):
+    _, out, _ = run(capsys, "check", "--bounds", "sc", "--max-degree", "3")
+    assert "tolerance" not in json.loads(out)["config"]
+    _, out, _ = run(capsys, "check", "--gram", "--max-degree", "2", "--tolerance", "1e-9")
+    assert json.loads(out)["config"]["tolerance"] == 1e-9
+
+
 def test_check_bounds_subset(capsys):
     code, out, _ = run(capsys, "check", "--bounds", "corollary", "--bounds", "sc",
                        "--max-degree", "3")

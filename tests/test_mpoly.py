@@ -1,5 +1,7 @@
 """Sparse quaternion-coefficient polynomials: ring ops, operators, wire format."""
 
+import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -7,7 +9,8 @@ import numpy as np
 import pytest
 
 from monokit.mpoly import MPoly, X0, X1, X2, Z1, Z2, eval_terms, point
-from monokit.quaternion import E1, E2, Quaternion
+from monokit.quaternion import E1, E2, Quaternion, parse_frac_str
+from reference_routes import block_terms, sphere_grid
 
 
 def test_construction_and_degree():
@@ -95,21 +98,19 @@ def _per_term_reference(terms, x0, x1, x2, monomials=None):
 
 
 def _factored_grids():
-    from monokit.bohr import _sphere_grid
     from monokit.quadrature import QuadratureRule
     # the last is the Legendre shape: x0 of shape (N,), scalar rho = phi = 0
-    return [QuadratureRule.for_degree(16).grid(), _sphere_grid(121, 240), _sphere_grid(65, 128),
+    return [QuadratureRule.for_degree(16).grid(), sphere_grid(121, 240), sphere_grid(65, 128),
             (np.linspace(-1.0, 1.0, 201), 0.0, 0.0)]
 
 
 @lru_cache(maxsize=None)
 def _term_lists():
-    # the basis elements through degree 8; a full degree-5 series as
-    # fourier_synthesize builds it, whose bins hold several (b, c) pairs;
+    # the basis elements through degree 8; a full degree-5 series as one
+    # term list, whose bins hold several (b, c) pairs;
     # some elements with components zeroed, plus an all-zero term
     from monokit.basis import basis_elements
     from monokit.bohr import random_test_function
-    from monokit.quadrature import block_terms
     lists = [element.poly.float_terms() for element in basis_elements(8)]
     coeffs = random_test_function(np.random.default_rng(3), 5)
     lists.append([term for n in range(6) for term in block_terms(n, coeffs.block(n))])
@@ -146,12 +147,11 @@ def test_eval_grid_at_scattered_points_matches_per_term_reference():
 
 
 def test_eval_terms_does_not_depend_on_term_order():
-    from monokit.bohr import _sphere_grid
     rng = np.random.default_rng(11)
     x0, x1, x2 = rng.uniform(-1.0, 1.0, size=(3, 300))
     points = (x0, np.hypot(x1, x2), np.arctan2(x2, x1))
     for terms in _term_lists():
-        for at in (_sphere_grid(65, 128), points):
+        for at in (sphere_grid(65, 128), points):
             assert np.array_equal(eval_terms(terms, *at), eval_terms(reversed(terms), *at))
 
 
@@ -219,6 +219,24 @@ def test_json_round_trip_is_stable():
 def test_json_rejects_garbage():
     with pytest.raises((ValueError, KeyError, TypeError)):
         MPoly.from_json('{"terms": [{"e": [0, 0], "c": ["1/1"]}]}')
+
+
+def test_json_parse_reduces_like_the_fraction_route():
+    terms = [{"e": [0, 0, 0], "c": ["2/4", "-0/3", "007/014", "0/1"]},
+             {"e": [1, 2, 0], "c": ["-6/9", "10/4", "0/5", "-3/12"]},
+             {"e": [0, 0, 3], "c": ["0/2", "-0/7", "000/1", "0/3"]}]
+    got = MPoly.from_json(json.dumps({"terms": terms}))
+    want = MPoly({tuple(t["e"]): Quaternion(*map(Fraction, t["c"])) for t in terms})
+    assert (got.den, got.ints) == (want.den, want.ints) == (12, {(0, 0, 0): [6, 0, 6, 0],
+                                                                 (1, 2, 0): [-8, 30, 0, -3]})
+    assert got.to_json() == want.to_json()
+    assert parse_frac_str("007/014") == Fraction(1, 2) == Quaternion.from_strings(terms[0]["c"]).a
+    for comps, message in ((["1/0", "0/1", "0/1", "0/1"], "got '1/0'"),
+                           (["1.5/2", "0/1", "0/1", "0/1"], "got '1.5/2'"),
+                           (["0/1", "1/-2", "0/1", "0/1"], "got '1/-2'"),
+                           (["1/1", "0/1", "0/1"], "need a list of 4 components")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MPoly.from_json(json.dumps({"terms": [{"e": [0, 0, 0], "c": comps}]}))
 
 
 def test_is_reduced():

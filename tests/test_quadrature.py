@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from monokit.basis import basis_for_degree
+from monokit.basis import basis_elements, basis_for_degree
+from monokit.bohr import _bohr_grid_powers
 from monokit.moments import inner_ball_h, inner_sphere, inner_sphere_h, sphere_moment
-from monokit.mpoly import MPoly, X0, X1, X2
+from monokit.mpoly import MPoly, X0, X1, X2, eval_terms
 from monokit.quadrature import (FourierCoeffs, QuadratureRule, basis_samples,
                                 block_table, fourier_expand, fourier_synthesize, gram_matrix_ball,
                                 gram_matrix_quaternion, inner_product_B,
@@ -105,12 +106,26 @@ def test_basis_samples_are_shared_and_read_only():
     assert not samples.flags.writeable
     with pytest.raises(ValueError):
         samples[0, 0, 0, 0] = 1.0
-    exps, table = block_table(3)
-    assert table.shape == (9, len(exps), 4)
-    assert block_table(3)[1] is table
-    assert not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0, 0, 0] = 1.0
+    table, bins = block_table(3)
+    assert table.shape == (9, 4, 4, 4) and bins == ((0, 3), (1, 2), (2, 1), (3, 0))
+    assert block_table(3)[0] is table
+    assert table.nbytes < 50_000 > block_table(8)[0].nbytes
+    grid_powers = _bohr_grid_powers(5)
+    assert _bohr_grid_powers(5) is grid_powers
+    for shared in (table,) + grid_powers:
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[(0,) * shared.ndim] = 1.0
+
+
+def test_basis_samples_equal_the_per_element_route_bit_for_bit():
+    for degree in (4, 12, 18):
+        rule = QuadratureRule.for_degree(degree)
+        reference = np.stack([eval_terms(e.poly.float_terms(), *rule.grid())
+                              for e in basis_elements(8)])
+        samples = basis_samples(rule, 8)
+        assert samples.shape == reference.shape
+        assert samples.tobytes() == reference.tobytes()  # -0.0 and 0.0 differ here
 
 
 def test_one_read_only_rule_per_degree():
