@@ -16,8 +16,10 @@ polynomial, and squared norms are rational multiples of pi.
 An alternative closed-form assembly of the X family (an axial expansion
 with coefficients beta_{n+1,l,k}) exists in several printed variants that
 disagree with each other; see axial_closed_form and the report module.
-The derivative path is the single source of truth, the variants are
-diff material only.
+Each variant's expansion is dirac_bar of one scalar polynomial, the same
+derivative as above, and the printed Taylor formulas are that expansion's
+x0-free coefficients.  The derivative path is the single source of truth,
+the variants are diff material only.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import cached_property, lru_cache
 
 from .legendre import assoc_body, legendre_coeffs
 from .moments import norm_sq_sphere
-from .mpoly import MPoly
+from .mpoly import MPoly, sum_of_products
 from .quaternion import Quaternion
 
 KINDS = ("X", "Y")
@@ -254,42 +256,18 @@ def beta_table(n: int, l: int, variant: str) -> list[Fraction] | None:
 
 
 def axial_closed_form(n: int, l: int, variant: str = "binomial-falling") -> MPoly | None:
-    """The printed component-wise expansion of r^n X^l_n, per beta variant.
+    """The printed axial expansion of r^n X^l_n per beta variant, or None where
+    that beta is undefined (statement-rising at l = 0 can hit a pole).
 
-    Returns None when the variant's beta is undefined for some (k) needed
-    here (statement-rising at l = 0 can hit a pole).  Compare against
-    spherical_monogenic(n, "X", l).poly; agreement depends on the variant.
+    The printed component sums are the product rule applied to one scalar
+    H = sum_k beta_k x0^(n+1-2k-l) |x|^(2k) Re[(x1 + i x2)^l]: component 0
+    is d0 H and components 1, 2 are -d1 H, -d2 H.  So it is H.dirac_bar().
     """
     if not 0 <= l <= n + 1:
         raise ValueError(f"order {l} out of range at degree {n}")
-
     beta = beta_table(n, l, variant)
     if beta is None:
         return None
-    cos_l = complex_power_parts(l)[0]  # r^l cos(l phi)
-    dcos_x1 = cos_l.partial(1)
-    dcos_x2 = cos_l.partial(2)
-
-    comp0 = MPoly.zero()
-    for k in range((n - l) // 2 + 1):
-        comp0 = comp0 + beta[k] * (n + 1 - 2 * k - l) * MPoly.monomial((n - 2 * k - l, 0, 0)) \
-            * _radius_sq_power(k) * cos_l
-    for k in range(1, (n + 1 - l) // 2 + 1):
-        comp0 = comp0 + beta[k] * (2 * k) * MPoly.monomial((n + 2 - 2 * k - l, 0, 0)) \
-            * _radius_sq_power(k - 1) * cos_l
-
-    comp1 = MPoly.zero()
-    comp2 = MPoly.zero()
-    x1 = MPoly.monomial((0, 1, 0))
-    x2 = MPoly.monomial((0, 0, 1))
-    for k in range(1, (n + 1 - l) // 2 + 1):
-        common = beta[k] * (2 * k) * MPoly.monomial((n + 1 - 2 * k - l, 0, 0)) * _radius_sq_power(k - 1)
-        comp1 = comp1 - common * x1 * cos_l
-        comp2 = comp2 - common * x2 * cos_l
-    for k in range((n + 1 - l) // 2 + 1):
-        common = beta[k] * MPoly.monomial((n + 1 - 2 * k - l, 0, 0)) * _radius_sq_power(k)
-        comp1 = comp1 - common * dcos_x1
-        comp2 = comp2 - common * dcos_x2
-    e1 = MPoly.scalar(Quaternion(0, 1))
-    e2 = MPoly.scalar(Quaternion(0, 0, 1))
-    return comp0 + comp1 * e1 + comp2 * e2
+    axial = sum_of_products([(MPoly.monomial((n + 1 - 2 * k - l, 0, 0), b), _radius_sq_power(k))
+                             for k, b in enumerate(beta)])
+    return (axial * complex_power_parts(l)[0]).dirac_bar()

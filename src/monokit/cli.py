@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -312,9 +313,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # options several subcommands share; NaN fails the tolerance test too
-        if "tolerance" in args and not args.tolerance > 0:
-            raise ConfigError("--tolerance must be > 0")
+        # options several subcommands share; an infinite tolerance passes every check
+        if "tolerance" in args and not (math.isfinite(args.tolerance) and args.tolerance > 0):
+            raise ConfigError("--tolerance must be finite and > 0")
         if args.output:
             parent = Path(args.output).parent
             if not (parent.is_dir() and os.access(parent, os.W_OK)):

@@ -22,12 +22,8 @@ recovered exactly from its n+1 Taylor coefficients
     f = sum_gamma V_gamma c_gamma   (coefficients on the right).
 
 Those derivatives leave only the monomial x1^g1 x2^g2 of f, so c_gamma
-is read off as its coefficient.
-
-closed_form_taylor evaluates the printed parity-gated coefficient formulas
-for the X family; like the axial expansion in the basis module they depend
-on the ambiguous beta coefficient and are diff material, not a source of
-truth.
+is read off as its coefficient.  The same read on basis.axial_closed_form
+gives the printed Taylor closed forms, so they need no code here.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .basis import beta_table
 from .mpoly import MPoly, Z1, Z2, sum_of_products
 from .quaternion import Quaternion
 
@@ -96,92 +91,3 @@ def fueter_power_bound_check(g1: int, g2: int, points) -> float:
     moduli = np.sqrt((values ** 2).sum(axis=-1))
     return float(np.max(moduli / r ** n))
 
-
-# -- printed closed forms (diff material) -----------------------------------------
-
-
-def parity_gate(i: int, j: int) -> int:
-    """1 when i and j have the same parity, else 0.
-
-    Defined for any integers: the printed coefficient formulas use the
-    gate at l-1, which is -1 when l = 0.
-    """
-    return 1 if (i - j) % 2 == 0 else 0
-
-
-def _comb(a: int, b) -> int:
-    """Binomial that is zero outside 0 <= b <= a; b must be integral."""
-    if b != int(b):
-        raise ValueError(f"non-integral binomial index {b}")
-    b = int(b)
-    if b < 0 or a < 0 or b > a:
-        return 0
-    return math.comb(a, b)
-
-
-def closed_form_taylor(n: int, l: int, variant: str = "binomial-falling") -> dict | None:
-    """The printed Taylor-coefficient formulas for the X family at (n, l).
-
-    Evaluates the three parity-gated component sums per the given beta
-    variant; returns None when that variant's beta is undefined here.
-    Every half-integer index is only formed behind its gate, and is
-    asserted integral there (a gate bug would raise, not truncate).
-    """
-    if not 0 <= l <= n + 1:
-        raise ValueError(f"order {l} out of range at degree {n}")
-    beta = beta_table(n, l, variant)
-    if beta is None:
-        return None
-    out: dict[tuple[int, int], Quaternion] = {}
-    for a1 in range(n + 1):
-        a2 = n - a1
-
-        comp0 = Fraction(0)
-        if parity_gate(l, n) and parity_gate(a1, l) and parity_gate(a2, 0):
-            acc = Fraction(0)
-            for j in range(l // 2 + 1):
-                acc += (-1) ** j * math.comb(l, 2 * j) * _comb((n - l) // 2, Fraction(a1 - l, 2) + j)
-            comp0 = beta[(n - l) // 2] * acc
-
-        comp1 = Fraction(0)
-        if parity_gate(l - 1, n) and parity_gate(l - 1, a1) and parity_gate(a2, 0):
-            first = Fraction(0)
-            second = Fraction(0)
-            for p in range(1, (n - l + 1) // 2 + 1):
-                outer = beta[p] * 2 * p * _comb(p - 1, Fraction(l - n - 1, 2) + p)
-                if outer:
-                    inner = sum((-1) ** (j + 1) * math.comb(l, 2 * j)
-                                * _comb((n - l - 1) // 2, Fraction(a1 - l - 1, 2) + j)
-                                for j in range(l // 2 + 1))
-                    first += outer * inner
-            for p in range((n - l + 1) // 2 + 1):
-                outer = beta[p] * _comb(p, Fraction(l - n - 1, 2) + p)
-                if outer:
-                    inner = sum((-1) ** (j + 1) * math.comb(l, 2 * j) * (l - 2 * j)
-                                * _comb((n - l + 1) // 2, Fraction(a1 - l + 1, 2) + j)
-                                for j in range((l - 1) // 2 + 1))
-                    second += outer * inner
-            comp1 = first + second
-
-        comp2 = Fraction(0)
-        if parity_gate(l - 1, n) and parity_gate(l, a1) and parity_gate(a2, 1):
-            first = Fraction(0)
-            second = Fraction(0)
-            for p in range(1, (n - l + 1) // 2 + 1):
-                outer = beta[p] * 2 * p * _comb(p - 1, Fraction(l - n - 1, 2) + p)
-                if outer:
-                    inner = sum((-1) ** (j + 1) * math.comb(l, 2 * j)
-                                * _comb((n - l - 1) // 2, Fraction(a1 - l, 2) + j)
-                                for j in range(l // 2 + 1))
-                    first += outer * inner
-            for p in range((n - l + 1) // 2 + 1):
-                outer = beta[p] * _comb(p, Fraction(l - n - 1, 2) + p)
-                if outer:
-                    inner = sum((-1) ** (j + 1) * math.comb(l, 2 * j) * (2 * j)
-                                * _comb((n - l + 1) // 2, Fraction(a1 - l, 2) + j)
-                                for j in range(1, l // 2 + 1))
-                    second += outer * inner
-            comp2 = first + second
-
-        out[(a1, a2)] = Quaternion(comp0, comp1, comp2, 0)
-    return out

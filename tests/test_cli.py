@@ -179,6 +179,9 @@ def _monomial(degree: int) -> str:
     (["bohr", "--tolerance", "0"], None),
     (["bohr", "--tolerance", "nan"], None),
     (["check", "--tolerance", "0"], None),
+    (["check", "--gram", "--tolerance", "inf"], None),
+    (["bohr", "--tolerance", "inf"], None),
+    (["report", "--tolerance", "inf"], None),
     (["fourier"], "[" * 100_000),
     (["fourier"], _monomial(MAX_INPUT_DEGREE + 1)),
     (["fourier", "--max-degree", str(MAX_INPUT_DEGREE + 1)], _monomial(1)),
@@ -188,7 +191,8 @@ def _monomial(degree: int) -> str:
     (["check", "--bounds", "sc", "--max-degree", "3", "--output", "TMP/missing/x.json"], None),
 ], ids=["functions-0", "functions-negative",
         "report-seed-negative", "bohr-tolerance-0",
-        "bohr-tolerance-nan", "check-tolerance-0", "deeply-nested-json",
+        "bohr-tolerance-nan", "check-tolerance-0", "check-tolerance-inf",
+        "bohr-tolerance-inf", "report-tolerance-inf", "deeply-nested-json",
         "input-degree-over-cap", "max-degree-over-cap", "output-under-a-file",
         "output-in-missing-dir", "golden-dir-under-a-file", "check-output-in-missing-dir"])
 def test_malformed_input_exits_two(capsys, tmp_path, argv, input_text):

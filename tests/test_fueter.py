@@ -7,12 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from monokit.basis import basis_for_degree, spherical_monogenic
-from monokit.fueter import (closed_form_taylor, fueter_power,
-                            fueter_power_bound_check, fueter_power_permutation_sum,
-                            parity_gate, taylor_coefficients, taylor_reconstruct)
+from monokit.basis import BETA_VARIANTS, axial_closed_form, basis_for_degree, spherical_monogenic
+from monokit.fueter import (fueter_power, fueter_power_bound_check,
+                            fueter_power_permutation_sum, taylor_coefficients,
+                            taylor_reconstruct)
 from monokit.mpoly import MPoly, X0, X1, X2, Z1, Z2
 from monokit.quaternion import E1, E2, Quaternion
+from reference_routes import printed_axial_expansion, printed_taylor_sums
 
 
 def test_low_order_powers():
@@ -109,12 +110,12 @@ def test_power_moduli_bounded_by_radius_power():
             assert fueter_power_bound_check(g1, n - g1, points) <= 1.0 + 1e-12
 
 
-def test_parity_gate():
-    assert parity_gate(0, 2)
-    assert parity_gate(-1, 1)
-    assert parity_gate(-1, 3)
-    assert not parity_gate(-1, 0)
-    assert not parity_gate(1, 2)
+def closed_form_taylor(n, l, variant):
+    """The printed Taylor closed form: the axial form's x0-free coefficients at degree n."""
+    axial = axial_closed_form(n, l, variant)
+    if axial is None:
+        return None
+    return {(g1, n - g1): axial.coefficient((0, g1, n - g1)) for g1 in range(n + 1)}
 
 
 def test_closed_form_taylor_agreement():
@@ -127,8 +128,20 @@ def test_closed_form_taylor_agreement():
 
 
 def test_closed_form_taylor_other_readings():
-    # verbatim alternative readings stay available but differ or blow up
+    # the alternative readings differ or blow up
     assert closed_form_taylor(0, 0, "statement-rising") is None
     bare = closed_form_taylor(2, 1, "proof-bare")
     exact = taylor_coefficients(spherical_monogenic(2, "X", 1).poly)
     assert any(bare[gamma] != value for gamma, value in exact.items())
+
+
+def test_axial_closed_form_is_the_printed_expansion_and_its_taylor_slice():
+    # dirac_bar of one scalar polynomial is the printed component-wise expansion,
+    # and its x0-free coefficients are the printed parity-gated Taylor sums
+    for n in range(9):
+        for l in range(n + 2):
+            for variant in BETA_VARIANTS:
+                axial = axial_closed_form(n, l, variant)
+                assert axial == printed_axial_expansion(n, l, variant)
+                assert axial is None or not axial.is_zero()
+                assert closed_form_taylor(n, l, variant) == printed_taylor_sums(n, l, variant)
