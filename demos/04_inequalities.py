@@ -28,7 +28,7 @@ for name, report in reports.items():
     print(f"\n{name}: max ratio {report.max_ratio:.6f} "
           f"({report.samples} cases) -> passed={report.passed}")
     if report.tight_cases:
-        print(f"  tight (ratio = 1 within 1e-12) at: {report.tight_cases}")
+        print(f"  tight (ratio exactly 1) at: {report.tight_cases}")
 
 # Two ratio lemmas behind the Bohr estimate: the certified sup of |Sc| over the
 # sphere against its squared norm times the closed bound, decided in rationals.

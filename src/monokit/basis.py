@@ -108,6 +108,16 @@ def _radius_sq_power(k: int) -> MPoly:
     return out
 
 
+def _axial(terms, angular: MPoly) -> MPoly:
+    """sum of c x0^a |x|^r over the (c, a, r) terms, r even, times angular, a Re or Im
+    part of (x1 + i x2)^m, from one sum_of_products."""
+    pairs = []
+    for c, a, r in terms:
+        assert r % 2 == 0, "radius power is odd"
+        pairs.append((MPoly.monomial((a, 0, 0), c), _radius_sq_power(r // 2)))
+    return sum_of_products(pairs) * angular
+
+
 @lru_cache(maxsize=None)
 def solid_harmonic(deg: int, kind: str, m: int) -> MPoly:
     """Exact Cartesian form of r^deg U^m_deg (kind U, the cos branch) or
@@ -119,17 +129,8 @@ def solid_harmonic(deg: int, kind: str, m: int) -> MPoly:
     low = 0 if kind == "U" else 1
     if not low <= m <= deg:
         raise ValueError(f"order {m} out of range for {kind} of degree {deg}")
-    body = assoc_body(deg, m)
-    re, im = complex_power_parts(m)
-    angular = re if kind == "U" else im
-    axial = MPoly.zero()
-    for j, q in enumerate(body):
-        if not q:
-            continue
-        rest = deg - m - j
-        assert rest % 2 == 0, "derivative body parity broken"
-        axial = axial + q * MPoly.monomial((j, 0, 0)) * _radius_sq_power(rest // 2)
-    return angular * axial
+    return _axial([(q, j, deg - m - j) for j, q in enumerate(assoc_body(deg, m)) if q],
+                  complex_power_parts(m)[kind == "V"])
 
 
 @lru_cache(maxsize=None)
@@ -268,6 +269,5 @@ def axial_closed_form(n: int, l: int, variant: str = "binomial-falling") -> MPol
     beta = beta_table(n, l, variant)
     if beta is None:
         return None
-    axial = sum_of_products([(MPoly.monomial((n + 1 - 2 * k - l, 0, 0), b), _radius_sq_power(k))
-                             for k, b in enumerate(beta)])
-    return (axial * complex_power_parts(l)[0]).dirac_bar()
+    return _axial([(b, n + 1 - 2 * k - l, 2 * k) for k, b in enumerate(beta)],
+                  complex_power_parts(l)[0]).dirac_bar()

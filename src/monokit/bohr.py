@@ -16,9 +16,9 @@ independent oracle.
 The verify_* functions decide the coefficient and pointwise inequalities
 (Taylor-coefficient bounds, pointwise polynomial bounds, scalar-part
 bounds) and report the worst certified/allowed ratio per claim.  Each sweep,
-the empirical one too, only generates (ratio, samples, case) triples; one
-fold, _sweep, builds every report.  A bound sweep passes at a maximum of
-at most 1 + RATIO_SLACK, the empirical sweep only strictly below 1.
+the empirical one too, only generates (ratio, case) pairs, one per case; one
+fold, _sweep, builds every report.  A bound sweep passes at a maximum of at
+most 1, the empirical sweep only strictly below 1; no tolerance is applied.
 
 If each component of f is harmonic and homogeneous of degree n, the addition
 theorem for spherical harmonics (Stein & Weiss 1971, ch. IV) gives sup_S |f|^2
@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import (basis_elements, basis_for_degree, complex_power_parts,
-                    solid_harmonic, spherical_monogenic)
+                    sc_e1_norm_sq_closed, solid_harmonic, spherical_monogenic)
 from .fueter import taylor_coefficients
 from .legendre import double_factorial
 from .moments import norm_sq_sphere
@@ -209,60 +209,51 @@ class BoundCheckReport:
         return doc if self.note else {k: v for k, v in doc.items() if k != "note"}
 
 
-RATIO_SLACK = 1e-12
-
-
 def _sweep(proposition: str, degree_range: tuple[int, int], cases,
-           passes=lambda max_ratio: max_ratio <= 1.0 + RATIO_SLACK) -> BoundCheckReport:
-    """Fold (ratio, samples, case) triples, in order, into a finished report.
+           passes=lambda max_ratio: max_ratio <= 1.0) -> BoundCheckReport:
+    """Fold (ratio, case) pairs, in order, into a finished report.
 
-    Cases within RATIO_SLACK of 1 are tight; the witness is the earliest case
-    within RATIO_SLACK of the maximum, and an empty sweep has none.
+    The witness is the earliest case at the maximum, {} for an empty sweep,
+    and the tight cases are those at exactly 1.
     """
-    max_ratio, samples, tight_cases = 0.0, 0, []
-    at_max = []  # (ratio, case) within RATIO_SLACK of the running maximum
-    for ratio, count, case in cases:
-        max_ratio = max(max_ratio, ratio)
-        samples += count
-        at_max = [(r, c) for r, c in at_max + [(ratio, case)] if r >= max_ratio - RATIO_SLACK]
-        if abs(ratio - 1.0) <= RATIO_SLACK:
-            tight_cases.append(case)
+    cases = list(cases)
+    max_ratio = max((ratio for ratio, _ in cases), default=0.0)
     return BoundCheckReport(proposition, degree_range, max_ratio, passes(max_ratio),
-                            at_max[0][1] if at_max else {}, samples, tight_cases)
+                            next((case for ratio, case in cases if ratio == max_ratio), {}),
+                            len(cases), [case for ratio, case in cases if ratio == 1.0])
 
 
-def corollary_coefficient_bound(n: int, m: int, gamma: tuple[int, int]) -> float:
-    """(1/gamma!) (n+1)! sqrt(pi (n+1)/(2n+3)) and its m >= 1 variant."""
-    gfact = math.factorial(gamma[0]) * math.factorial(gamma[1])
-    if m == 0:
-        radicand = math.pi * (n + 1) / (2 * n + 3)
-    else:
-        radicand = (math.pi * (n + 1) / (2.0 * (2 * n + 3))
-                    * math.factorial(n + 1 + m) / math.factorial(n + 1 - m))
-    return math.factorial(n + 1) / gfact * math.sqrt(radicand)
+def _bound_sq_over_pi(n: int, m: int, lead: int) -> Fraction:
+    """(lead sqrt(pi (n+1)/(2n+3)))^2 / pi, times (n+1+m)!/(2 (n+1-m)!) for m >= 1, exact:
+    the printed coefficient bound at lead = (n+1)!/gamma!, the pointwise one at (n+1) 2^n."""
+    orders = Fraction(math.factorial(n + 1 + m), 2 * math.factorial(n + 1 - m)) if m else 1
+    return lead ** 2 * Fraction(n + 1, 2 * n + 3) * orders
+
+
+_PI_BELOW = Fraction(333, 106)  # < pi, so a bound with a factor pi is decided exactly
+
+
+def _pi_ratio(sup_sq: Fraction | None, bound_sq_over_pi: Fraction) -> float:
+    """sqrt(sup_sq / (pi bound_sq_over_pi)); inf unless sup_sq <= _PI_BELOW bound_sq_over_pi,
+    which decides sup_sq <= pi bound_sq_over_pi in Fractions."""
+    holds = sup_sq is not None and sup_sq <= _PI_BELOW * bound_sq_over_pi
+    return math.sqrt(sup_sq) / math.sqrt(math.pi * bound_sq_over_pi) if holds else math.inf
 
 
 def verify_corollary_bounds(n_max: int) -> BoundCheckReport:
-    """Exact Taylor coefficients against the printed coefficient bounds."""
+    """Exact Taylor coefficients c_gamma of every element against the printed bound
+    (n+1)!/gamma! sqrt(pi (n+1)/(2n+3)) (times its m >= 1 factor), decided from |c|^2."""
     return _sweep("taylor-coefficient-bounds", (0, n_max), (
-        (c.abs_float() / corollary_coefficient_bound(n, e.index.m, gamma), 1,
+        (_pi_ratio(c.norm_sq(), _bound_sq_over_pi(
+            n, e.index.m, math.factorial(n + 1) // math.prod(map(math.factorial, gamma)))),
          {"n": n, "index": e.index.label, "gamma": list(gamma)})
         for n in range(n_max + 1) for e in basis_for_degree(n)
         for gamma, c in taylor_coefficients(e.poly).items()))
 
 
-def _pointwise_bound_sq_over_pi(n: int, m: int) -> Fraction:
-    """pointwise_polynomial_bound(n, m)^2 / pi, exact."""
-    orders = Fraction(math.factorial(n + 1 + m), 2 * math.factorial(n + 1 - m)) if m else 1
-    return ((n + 1) * 2 ** n) ** 2 * Fraction(n + 1, 2 * n + 3) * orders
-
-
 def pointwise_polynomial_bound(n: int, m: int) -> float:
     """r^n (n+1) 2^n sqrt(...) bound at r = 1 (homogeneity covers the rest)."""
-    return math.sqrt(math.pi * _pointwise_bound_sq_over_pi(n, m))
-
-
-_PI_BELOW = Fraction(333, 106)  # < pi, so a bound with a factor pi is decided exactly
+    return math.sqrt(math.pi * _bound_sq_over_pi(n, m, (n + 1) * 2 ** n))
 
 
 def _sphere_sup_sq(n: int, norm_sq: Fraction) -> Fraction:
@@ -284,16 +275,12 @@ def _decided_ratio(sup_sq: Fraction | None, bound: Fraction) -> float:
 
 
 def verify_polynomial_bounds(n_max: int) -> BoundCheckReport:
-    """|f(x)| <= pointwise_polynomial_bound(n, m) |x|^n for every element f, decided as
-    _harmonic_sup_sq <= _PI_BELOW bound^2/pi; a failed premise or comparison gives inf."""
-    def ratio(n, e):
-        sup_sq = _harmonic_sup_sq(e.poly, n, e.norm_sq_S)
-        if sup_sq is None or sup_sq > _PI_BELOW * _pointwise_bound_sq_over_pi(n, e.index.m):
-            return math.inf
-        return math.sqrt(sup_sq) / pointwise_polynomial_bound(n, e.index.m)
-
+    """|f(x)| <= pointwise_polynomial_bound(n, m) |x|^n for every element f, decided by
+    _pi_ratio from _harmonic_sup_sq; a failed premise or comparison gives inf."""
     return _sweep("pointwise-polynomial-bounds", (0, n_max), (
-        (ratio(n, e), 1, {"n": n, "index": e.index.label})
+        (_pi_ratio(_harmonic_sup_sq(e.poly, n, e.norm_sq_S),
+                   _bound_sq_over_pi(n, e.index.m, (n + 1) * 2 ** n)),
+         {"n": n, "index": e.index.label})
         for n in range(n_max + 1) for e in basis_for_degree(n)))
 
 
@@ -314,7 +301,7 @@ def verify_scalar_part_bounds(n_max: int) -> BoundCheckReport:
                               Fraction(math.factorial(n + 1 + m), 2 * math.factorial(n)))
 
     return _sweep("scalar-part-bounds", (0, n_max), (
-        (ratio(n, e), 1, {"n": n, "index": e.index.label})
+        (ratio(n, e), {"n": n, "index": e.index.label})
         for n in range(n_max + 1) for e in basis_for_degree(n) if e.index.m <= n))
 
 
@@ -326,11 +313,11 @@ def verify_constants_e1_bounds(n_max: int) -> BoundCheckReport:
         angular = complex_power_parts(n)[e.index.kind == "Y"]
         if e.poly.component(1) != -_e1_sc_sup(n) * angular:
             return math.inf
-        sup = 0.0 if angular.is_zero() else float(_e1_sc_sup(n))
-        return sup / (0.5 * (n + 1) * double_factorial(2 * n + 1))
+        sup = 0 if angular.is_zero() else _e1_sc_sup(n)
+        return _decided_ratio(sup * sup, Fraction(n + 1, 2) * double_factorial(2 * n + 1))
 
     return _sweep("constants-e1-scalar-bounds", (0, n_max), (
-        (ratio(n, e), 1, {"n": n, "kind": e.index.kind})
+        (ratio(n, e), {"n": n, "kind": e.index.kind})
         for n in range(n_max + 1) for e in basis_for_degree(n) if e.index.m == n + 1))
 
 
@@ -356,7 +343,7 @@ def verify_sc_ratio_lemmas(k_max: int) -> BoundCheckReport:
         return _decided_ratio(_harmonic_sup_sq(sc, k, norm_sq), norm_sq * bound_pi)
 
     return _sweep("scalar-ratio-lemmas", (0, k_max), (
-        (ratio(k, m), 1, {"k": k, "m": m}) for k in range(k_max + 1) for m in range(k + 1)))
+        (ratio(k, m), {"k": k, "m": m}) for k in range(k_max + 1) for m in range(k + 1)))
 
 
 def verify_constants_ratio_lemma(k_max: int) -> BoundCheckReport:
@@ -367,11 +354,11 @@ def verify_constants_ratio_lemma(k_max: int) -> BoundCheckReport:
     the pass flag and states it in its note instead.
     """
     def ratio(k: int) -> float:  # ||...||^2/pi and the bound times pi, exact
-        norm_sq = Fraction((k + 1) ** 2 * math.factorial(2 * k + 1), 2)
-        return float(_e1_sc_sup(k) / (norm_sq * Fraction(2, 2 ** k * math.factorial(k + 1))))
+        bound_pi = Fraction(2, 2 ** k * math.factorial(k + 1))
+        return _decided_ratio(_e1_sc_sup(k) ** 2, sc_e1_norm_sq_closed(k) * bound_pi)
 
     report = _sweep("constants-ratio-lemma", (1, k_max),
-                    ((ratio(k), 1, {"k": k}) for k in range(1, k_max + 1)))
+                    ((ratio(k), {"k": k}) for k in range(1, k_max + 1)))
     report.note = f"k=0 X-branch ratio {(0.5 / math.pi) / (2.0 / math.pi)} vs printed bound 1"
     return report
 
@@ -436,5 +423,5 @@ def empirical_bohr_sweep(count: int, r: float = 0.049, seed: int = 2024,
     """Generate `count` admissible functions; each block-moduli sum at r must stay below 1."""
     rng = np.random.default_rng(seed)
     return _sweep("empirical-bohr-sum", (0, max_degree), (
-        (empirical_bohr_sum(random_test_function(rng, max_degree), r), 1, {"function": i})
+        (empirical_bohr_sum(random_test_function(rng, max_degree), r), {"function": i})
         for i in range(count)), passes=lambda max_ratio: max_ratio < 1.0)

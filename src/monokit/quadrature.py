@@ -58,6 +58,11 @@ class QuadratureRule:
         nodes.flags.writeable = weights.flags.writeable = False
         return cls(nodes, weights, n_phi, max_degree)
 
+    def require(self, degree: int) -> None:
+        """Raise ValueError unless the rule is exact for polynomials of total degree `degree`."""
+        if self.exactness_degree < degree:
+            raise ValueError(f"rule exact to degree {self.exactness_degree}, need {degree}")
+
     def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The node grid as eval_terms takes it: x0 = t and rho as (n_t, 1), phi as (1, n_phi)."""
         t = self.t_nodes[:, None]
@@ -84,9 +89,7 @@ _CONJ_TABLE = np.array([[(p.conjugate() * q).to_floats() for q in _UNITS] for p 
 
 def inner_product_S(f: MPoly, g: MPoly, rule: QuadratureRule) -> np.ndarray:
     """Quaternion-valued integral of conj(f) g over S, as a 4-vector."""
-    needed = max(f.degree(), 0) + max(g.degree(), 0)
-    if rule.exactness_degree < needed:
-        raise ValueError(f"rule exact to degree {rule.exactness_degree}, need {needed}")
+    rule.require(max(f.degree(), 0) + max(g.degree(), 0))
     grid = rule.grid()
     fv, gv = eval_terms(f.float_terms(), *grid), eval_terms(g.float_terms(), *grid)
     return np.einsum("tpa,tpb,abk,tp->k", fv, gv, _CONJ_TABLE, rule.node_weights())
@@ -183,8 +186,9 @@ def fourier_expand(f: MPoly, max_degree: int, rule: QuadratureRule) -> FourierCo
         alpha = <f restricted to S, X^(m,*)_n>_S / sqrt(2n+3).
 
     f is a polynomial, sampled on the rule grid; the rule must integrate
-    its products with the degree-max_degree elements exactly.
+    its products with the degree-max_degree elements exactly, else ValueError.
     """
+    rule.require(max(f.degree(), 0) + max_degree)
     elements = basis_elements(max_degree)
     raw = np.einsum("itpc,tpc,tp->i", basis_samples(rule, max_degree),
                     eval_terms(f.float_terms(), *rule.grid()), rule.node_weights())

@@ -39,7 +39,7 @@ SECTIONS = (
     ("ball_sphere_relation", None, False,
      lambda c: check_ball_sphere_relation(c["max_degree"], c["tolerance"])),
     ("norms", None, False,
-     lambda c: check_norms(c["max_degree"], min(c["max_degree"], 6), c["tolerance"])),
+     lambda c: check_norms(c["max_degree"], c["tolerance"])),
     ("taylor", None, False, lambda c: check_taylor(c["max_degree"])),
     ("bounds.corollary", _RATIO, True,
      lambda c: bohr_mod.verify_corollary_bounds(c["max_degree"]).to_json_dict()),
@@ -136,7 +136,7 @@ def check_ball_sphere_relation(max_degree: int, tolerance: float) -> dict:
     }
 
 
-def check_norms(max_degree: int, max_degree_constants: int, tolerance: float) -> dict:
+def check_norms(max_degree: int, tolerance: float) -> dict:
     """Quadrature norms against every closed form, worst relative error each.
 
     One node reduction gives the squared norm of each component of every
@@ -146,18 +146,16 @@ def check_norms(max_degree: int, max_degree_constants: int, tolerance: float) ->
     degree 0 it does not hold and the true values (1 and 0 times pi) are
     pinned instead.
     """
-    top = max(max_degree, max_degree_constants)
-    rule = QuadratureRule.for_degree(2 * top)
-    samples = basis_samples(rule, top)
+    rule = QuadratureRule.for_degree(2 * max_degree)
+    samples = basis_samples(rule, max_degree)
     squares = np.einsum("itpc,itpc,tp->ic", samples, samples, rule.node_weights())
     sphere, sc, const = [], [], []
-    for e, square in zip(basis_elements(top), squares):
+    for e, square in zip(basis_elements(max_degree), squares):
         n, m = e.index.n, e.index.m
-        if n <= max_degree:
-            sphere.append((square.sum(), norm_sq_sphere_closed(n, m)))
-            if e.index.kind == "X" and m <= n:
-                sc.append((square[0], sc_norm_sq_closed(n, m)))
-        if 1 <= n <= max_degree_constants and m == n + 1:
+        sphere.append((square.sum(), norm_sq_sphere_closed(n, m)))
+        if e.index.kind == "X" and m <= n:
+            sc.append((square[0], sc_norm_sq_closed(n, m)))
+        if n >= 1 and m == n + 1:
             const.append((square[1], sc_e1_norm_sq_closed(n)))
 
     def worst(pairs) -> float:
@@ -170,7 +168,7 @@ def check_norms(max_degree: int, max_degree_constants: int, tolerance: float) ->
         "sphere_norm_rel_error": sphere_worst,
         "scalar_norm_rel_error": sc_worst,
         "constants_scalar_norm_rel_error": const_worst,
-        "constants_degree_range": [1, max_degree_constants],
+        "constants_degree_range": [1, max_degree],
         "tolerance": tolerance,
         "passed": max(sphere_worst, sc_worst, const_worst) < tolerance,
     }
@@ -252,9 +250,9 @@ def build_report(max_degree: int = 6, tolerance: float = 1e-10, seed: int = 0,
 
     Schema and config, then every SECTIONS row in order, then the parts that
     decide nothing: the radius, margins and note under bohr, and the two
-    closed-form tables; passed and failed_sections close it.  Degrees beyond
-    max_degree are used only where a specific closed form needs its own
-    documented range (constants norms start at 1).
+    closed-form tables; passed and failed_sections close it.  Every section
+    reads degrees 0..max_degree; the constants norms start at 1, where their
+    closed form holds.
     """
     config = {"max_degree": max_degree, "tolerance": tolerance, "seed": seed,
               "bohr_functions": bohr_functions}

@@ -66,13 +66,13 @@ def test_criterion_3_ball_sphere_relation():
 
 
 def test_criterion_4_norm_closed_forms():
-    out = check_norms(8, 6, 1e-10)
+    out = check_norms(8, 1e-10)
     worst = max(out["sphere_norm_rel_error"], out["scalar_norm_rel_error"],
                 out["constants_scalar_norm_rel_error"])
     x0 = norm_sq_sphere((spherical_monogenic(0, "X", 1).poly * E1).sc())
     y0 = norm_sq_sphere((spherical_monogenic(0, "Y", 1).poly * E1).sc())
     ok = out["passed"] and x0 == 1 and y0 == 0
-    emit(4, "norm closed forms (sphere n<=8, Sc n<=8, constants n in 1..6)", ok,
+    emit(4, "norm closed forms (sphere n<=8, Sc n<=8, constants n in 1..8)", ok,
          f"worst relative error {worst:.3e} < 1e-10; degree-0 exception pinned")
 
 
@@ -107,7 +107,7 @@ def test_criterion_6_bound_sweeps():
          " factorization and constants-e1 read from exact identities", ok,
          f"corollary max {corollary.max_ratio:.4f}, pointwise max {ratios}, polynomial"
          f" worst X:0 at n=0 (sqrt(1/4)/bound), every family max <= 1 with no slack,"
-         f" scalar-part max exactly 1, tight (ratio=1 within 1e-12): scalar-part"
+         f" scalar-part max exactly 1, tight (ratio exactly 1): scalar-part"
          f" X:0 at n=0..8, constants-e1 X at n=0..8 and Y at n=1..8")
 
 

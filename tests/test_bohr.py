@@ -109,25 +109,25 @@ def test_coefficient_domination_validation():
 
 def test_witness_is_the_earliest_case_near_the_maximum():
     from monokit.bohr import _sweep
-    cases = [(0.5, 1, {"i": 0}), (1.0, 1, {"i": 1}),
-             (float(np.nextafter(1.0, 2.0)), 1, {"i": 2})]  # one ulp above
+    above = float(np.nextafter(1.0, 2.0))  # one ulp above 1
+    cases = [(0.5, {"i": 0}), (1.0, {"i": 1}), (above, {"i": 2})]
     report = _sweep("ties", (0, 1), cases)
-    assert report.max_ratio == float(np.nextafter(1.0, 2.0))
-    assert report.worst_case == {"i": 1}
-    assert report.tight_cases == [{"i": 1}, {"i": 2}]
-    report = _sweep("ties", (0, 1), cases + [(1.5, 1, {"i": 3})])
+    assert report.max_ratio == above and not report.passed
+    assert report.worst_case == {"i": 2}
+    assert report.tight_cases == [{"i": 1}]
+    report = _sweep("ties", (0, 1), cases + [(1.5, {"i": 3}), (1.5, {"i": 4})])
     assert report.worst_case == {"i": 3}
 
 
 def test_sweep_pass_rules_samples_and_empty_sweep():
     from monokit.bohr import _sweep
-    cases = [(0.25, 10, {"i": 0}), (1.0, 5, {"i": 1})]
+    cases = [(0.25, {"i": 0}), (1.0, {"i": 1})]
     default = _sweep("exact-one", (0, 1), cases)
     assert default.passed
-    assert default.samples == 15
-    assert default.max_ratio == 1.0
-    strict = _sweep("exact-one", (0, 1), cases, passes=lambda max_ratio: max_ratio < 1.0)
-    assert not strict.passed
+    assert default.samples == 2
+    assert default.max_ratio == 1.0 and default.worst_case == {"i": 1}
+    strict = _sweep("exact-one", (0, 1), iter(cases), passes=lambda max_ratio: max_ratio < 1.0)
+    assert not strict.passed and strict.samples == 2
     empty = _sweep("empty", (1, 0), iter(()))
     assert empty.max_ratio == 0.0
     assert empty.passed
@@ -140,6 +140,21 @@ def test_corollary_bounds_sweep():
     assert report.passed
     assert report.max_ratio <= 1.0 + 1e-12
     assert report.samples > 0
+
+
+def test_corollary_family_fails_on_a_broken_coefficient(monkeypatch):
+    real = bohr_mod.taylor_coefficients
+
+    def inflated(poly):
+        coefficients = real(poly)
+        if poly == spherical_monogenic(2, "Y", 1).poly:
+            coefficients[(1, 1)] = 100 * coefficients[(1, 1)]
+        return coefficients
+
+    monkeypatch.setattr(bohr_mod, "taylor_coefficients", inflated)
+    report = verify_corollary_bounds(4)
+    assert not report.passed and report.max_ratio == math.inf
+    assert report.worst_case == {"n": 2, "index": "Y:1", "gamma": [1, 1]}
 
 
 def test_pointwise_bounds_sweep():

@@ -193,6 +193,19 @@ def test_fourier_round_trip():
     assert max(abs(v) for v in absent) < 1e-12
 
 
+def test_fourier_expand_refuses_a_rule_that_is_not_exact_enough():
+    # a degree-4 input against degree-4 elements needs a rule exact to degree 8; below
+    # that the X:2 coefficient would come out wrong instead of failing
+    element = basis_for_degree(4)[3]
+    assert element.index.label == "X:2"
+    for degree in (2, 7):
+        with pytest.raises(ValueError, match=f"rule exact to degree {degree}, need 8"):
+            fourier_expand(element.poly, 4, QuadratureRule.for_degree(degree))
+    coeffs = fourier_expand(element.poly, 4, QuadratureRule.for_degree(8))
+    assert coeffs.coefficient(4, "X:2") == pytest.approx(element.norm_S / math.sqrt(11),
+                                                         rel=1e-12)
+
+
 def test_fourier_coefficients_container():
     coeffs = FourierCoeffs(1, {(0, "X:0"): 1.0, (1, "X:1"): -2.0})
     assert coeffs.coefficient(0, "X:0") == 1.0
