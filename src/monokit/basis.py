@@ -181,10 +181,6 @@ def norm_sq_sphere_closed(n: int, m: int) -> Fraction:
     return Fraction((n + 1) * math.factorial(n + 1 + m), 2 * math.factorial(n + 1 - m))
 
 
-def norm_sq_ball_closed(n: int, m: int) -> Fraction:
-    return norm_sq_sphere_closed(n, m) / (2 * n + 3)
-
-
 def sc_norm_sq_closed(n: int, m: int) -> Fraction:
     """Squared L2(S) norm over pi of the scalar part, m = 0..n."""
     if not 0 <= m <= n:

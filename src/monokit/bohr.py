@@ -10,8 +10,8 @@ monogenic function (f2 collects the order-(n+1) monogenic-constant blocks):
 
 The radius below which the term-moduli sum of the Fourier expansion stays
 under 1 is min(r1, r2) with S1(r1) = S2(r2) = 1; the first series binds.
-Closed forms are canonical here, truncated partial sums are kept as an
-independent oracle.
+Both thresholds are closed forms; bisection on the truncated partial sums,
+their independent oracle, lives in tests/reference_routes.py.
 
 The verify_* functions decide the coefficient and pointwise inequalities
 (Taylor-coefficient bounds, pointwise polynomial bounds, scalar-part
@@ -75,29 +75,6 @@ def series_s2(r: float) -> float:
     return 4.0 / math.sqrt(3.0 * math.pi) * math.expm1(r)
 
 
-def series_s1_truncated(r: float, terms: int) -> float:
-    q = 2.0 * r
-    return 5.0 / math.sqrt(math.pi) * sum(q ** n * (2 * n + 1) for n in range(1, terms + 1))
-
-
-def series_s2_truncated(r: float, terms: int) -> float:
-    return 4.0 / math.sqrt(3.0 * math.pi) * sum(r ** n / math.factorial(n)
-                                                for n in range(1, terms + 1))
-
-
-def _bisect(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
-    flo, fhi = fn(lo), fn(hi)
-    if flo * fhi > 0:
-        raise ValueError("bisection bracket does not straddle a root")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if flo * fn(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def series_f1_threshold() -> float:
     """r1 with S1(r1) = 1, in closed form.
 
@@ -112,15 +89,6 @@ def series_f1_threshold() -> float:
 def series_f2_threshold() -> float:
     """r2 with S2(r2) = 1; closed form ln(1 + sqrt(3 pi)/4)."""
     return math.log1p(math.sqrt(3.0 * math.pi) / 4.0)
-
-
-def series_f1_threshold_truncated(terms: int = 80) -> float:
-    """Bisection against the partial sum; oracle for the closed form."""
-    return _bisect(lambda r: series_s1_truncated(r, terms) - 1.0, 1e-9, 0.499)
-
-
-def series_f2_threshold_truncated(terms: int = 30) -> float:
-    return _bisect(lambda r: series_s2_truncated(r, terms) - 1.0, 1e-9, 2.0)
 
 
 @dataclass

@@ -11,12 +11,12 @@ on the last factor,
 
     V_gamma = (g1/n) V_(g1-1,g2) z1 + (g2/n) V_(g1,g2-1) z2,
 
-which agrees with the literal permutation sum (kept here as a brute-force
-oracle for the tests).  The oracle multiplies out each of the C(n, g1)
-distinct words once, factor by factor: a word stands for the g1! g2!
-orders that put z1 at the same places, so the (1/n!) sum over orders is
-the mean over words.  A homogeneous monogenic polynomial of degree n is
-recovered exactly from its n+1 Taylor coefficients
+which agrees with the literal permutation sum, kept here as the brute-force
+oracle of the report's taylor section.  The oracle multiplies out each of
+the C(n, g1) distinct words once, factor by factor: a word stands for the
+g1! g2! orders that put z1 at the same places, so the (1/n!) sum over
+orders is the mean over words.  A homogeneous monogenic polynomial of
+degree n is recovered exactly from its n+1 Taylor coefficients
 
     c_gamma = (1/(g1! g2!)) d^g1/dx1 d^g2/dx2 f at 0,
     f = sum_gamma V_gamma c_gamma   (coefficients on the right).
@@ -76,18 +76,3 @@ def taylor_coefficients(f: MPoly) -> dict[tuple[int, int], Quaternion]:
 def taylor_reconstruct(tc: dict[tuple[int, int], Quaternion]) -> MPoly:
     return sum_of_products([(fueter_power(*gamma), MPoly.scalar(c))
                             for gamma, c in tc.items() if c])
-
-
-def fueter_power_bound_check(g1: int, g2: int, points) -> float:
-    """max over points of |V_gamma(x)| / r^n; the claim is that this is <= 1."""
-    import numpy as np
-
-    n = g1 + g2
-    pts = np.asarray(points, dtype=float)
-    r = np.sqrt((pts ** 2).sum(axis=1))
-    if np.any(r == 0):
-        raise ValueError("points must avoid the origin")
-    values = fueter_power(g1, g2).eval_grid(pts[:, 0], pts[:, 1], pts[:, 2])
-    moduli = np.sqrt((values ** 2).sum(axis=-1))
-    return float(np.max(moduli / r ** n))
-

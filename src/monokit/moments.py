@@ -18,9 +18,9 @@ factor 1/(n+3), term by term.
 inner_sphere and inner_ball share one kernel on Sc(conj(f) g) = sum_c f_c g_c:
 it reads the stored integer components of both polynomials (MPoly.ints
 over MPoly.den), pairs only terms of the same exponent parity pattern (other
-moments vanish), and divides once, last.
-inner_sphere_h and inner_ball_h integrate the quaternion product conj(f) g;
-they are the reference.
+moments vanish), and divides once, last.  No Quaternion is built.  The
+quaternion-valued route, which integrates the product conj(f) g term by term,
+is their reference in tests/reference_routes.py.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from functools import lru_cache
 
 from .legendre import double_factorial
 from .mpoly import MPoly
-from .quaternion import Quaternion
 
 
 @lru_cache(maxsize=None)
@@ -51,29 +50,6 @@ def ball_moment(a: int, b: int, c: int) -> Fraction:
     return sphere_moment(a, b, c) / (a + b + c + 3)
 
 
-def _integrate(poly: MPoly, moment) -> Quaternion:
-    total = Quaternion()
-    for exp, coeff in poly.terms.items():
-        q = moment(*exp)
-        if q:
-            total = total + coeff * q
-    return total
-
-
-def sphere_integral(poly: MPoly) -> Quaternion:
-    """Quaternion q with  integral_S poly dsigma = q * pi."""
-    return _integrate(poly, sphere_moment)
-
-
-def ball_integral(poly: MPoly) -> Quaternion:
-    return _integrate(poly, ball_moment)
-
-
-def inner_sphere_h(f: MPoly, g: MPoly) -> Quaternion:
-    """Quaternion-valued product: integral_S conj(f) g dsigma, over pi."""
-    return sphere_integral(f.conjugate() * g)
-
-
 def _real_product(f: MPoly, g: MPoly, moment) -> Fraction:
     """sum_c integral f_c g_c, over pi: the scalar part of integral conj(f) g."""
     g_groups = defaultdict(list)  # exponent parity pattern -> terms
@@ -91,10 +67,6 @@ def _real_product(f: MPoly, g: MPoly, moment) -> Fraction:
 def inner_sphere(f: MPoly, g: MPoly) -> Fraction:
     """Real product: integral_S Sc(conj(f) g) dsigma, over pi."""
     return _real_product(f, g, sphere_moment)
-
-
-def inner_ball_h(f: MPoly, g: MPoly) -> Quaternion:
-    return ball_integral(f.conjugate() * g)
 
 
 def inner_ball(f: MPoly, g: MPoly) -> Fraction:

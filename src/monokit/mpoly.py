@@ -22,7 +22,8 @@ is the Laplacian in the three variables.
 Float evaluation has one kernel, eval_bins, at points given as (x0, rho, phi)
 with x1 = rho cos phi and x2 = rho sin phi: padded tables binned by the x0 and
 rho powers, one einsum per polynomial and component.  eval_terms lays out one
-term list for it; eval_grid converts Cartesian points once.
+term list for it.  Exact evaluation at a rational point and float evaluation
+at Cartesian points are test references (tests/reference_routes.py).
 
 Example
 -------
@@ -211,10 +212,6 @@ class MPoly:
         degrees = {sum(exp) for exp in self.ints}
         return len(degrees) <= 1
 
-    def homogeneous_part(self, n: int) -> MPoly:
-        return MPoly._from_ints(self.den, {exp: comps for exp, comps in self.ints.items()
-                                           if sum(exp) == n})
-
     def is_reduced(self) -> bool:
         """True when every coefficient lies in span{1, e1, e2}."""
         return all(comps[3] == 0 for comps in self.ints.values())
@@ -259,22 +256,10 @@ class MPoly:
 
     # -- evaluation -----------------------------------------------------------
 
-    def evaluate(self, at: Point3) -> Quaternion:
-        """Exact evaluation at a rational point."""
-        x0, x1, x2 = (frac(c) for c in at)
-        total = Quaternion()
-        for exp, coeff in self.terms.items():
-            total = total + coeff * (x0 ** exp[0] * x1 ** exp[1] * x2 ** exp[2])
-        return total
-
     def float_terms(self) -> list[tuple[Exponent, tuple[float, ...]]]:
         """Sorted (exponent, 4 floats) terms, the input of eval_terms."""
         den = self.den  # int / int rounds correctly, as float(Fraction) does
         return [(e, tuple(x / den for x in comps)) for e, comps in sorted(self.ints.items())]
-
-    def eval_grid(self, x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Float evaluation at Cartesian points (broadcastable arrays); grid+(4,)."""
-        return eval_terms(self.float_terms(), x0, np.hypot(x1, x2), np.arctan2(x2, x1))
 
     # -- serialization ----------------------------------------------------------
 

@@ -10,11 +10,14 @@ because the integrand is a polynomial of degree <= D in t times a
 trigonometric polynomial of degree <= D in phi, and the midpoint rule on a
 full period integrates e^(i k phi) exactly for |k| < n_phi.  Everything in
 this module is binary64; the exact counterparts live in the moments module
-and are used by the tests to pin these numbers down.
+and are used by the tests to pin these numbers down, as are the pairwise
+quadrature products in tests/reference_routes.py.
 
 Every float inner product between basis elements reads one memoized
 sample array (basis_samples) and reduces it over the nodes with a single
 np.einsum, without BLAS, so repeated runs produce byte-identical results.
+The quaternion sphere Gram (sphere_gram) is one such reduction per degree;
+its scalar part is the real Gram.
 Each degree block is one padded table (block_table) with an element axis:
 basis_samples evaluates it with mpoly.eval_bins in one call, and synthesis
 (block_values) first folds its elements into one coefficient per monomial
@@ -87,33 +90,6 @@ _UNITS = (ONE, E1, E2, E3)
 _CONJ_TABLE = np.array([[(p.conjugate() * q).to_floats() for q in _UNITS] for p in _UNITS])
 
 
-def inner_product_S(f: MPoly, g: MPoly, rule: QuadratureRule) -> np.ndarray:
-    """Quaternion-valued integral of conj(f) g over S, as a 4-vector."""
-    rule.require(max(f.degree(), 0) + max(g.degree(), 0))
-    grid = rule.grid()
-    fv, gv = eval_terms(f.float_terms(), *grid), eval_terms(g.float_terms(), *grid)
-    return np.einsum("tpa,tpb,abk,tp->k", fv, gv, _CONJ_TABLE, rule.node_weights())
-
-
-def sc_inner_product_S(f: MPoly, g: MPoly, rule: QuadratureRule) -> float:
-    """The real inner product: integral of Sc(conj(f) g) over S."""
-    return float(inner_product_S(f, g, rule)[0])
-
-
-def inner_product_B(f: MPoly, g: MPoly, rule: QuadratureRule) -> np.ndarray:
-    """Quaternion-valued integral of conj(f) g over the unit ball.
-
-    Both inputs must be homogeneous; the radial direction is integrated by
-    an actual Gauss-Legendre rule on [0, 1] (not the analytic 1/(n+k+3)),
-    so the ball/sphere relation stays an honest statement to test.
-    """
-    for p in (f, g):
-        if not p.is_homogeneous():
-            raise ValueError("ball inner product needs homogeneous inputs")
-    radial = radial_moment(max(f.degree(), 0) + max(g.degree(), 0) + 2)
-    return inner_product_S(f, g, rule) * radial
-
-
 @dataclass
 class FourierCoeffs:
     """Real coefficients w.r.t. the ball-orthonormal system, by degree block.
@@ -164,16 +140,6 @@ def radial_pairs(degrees: np.ndarray) -> np.ndarray:
     """radial_moment(n + k + 2) for every pair of element degrees, shape (E, E)."""
     table = np.array([radial_moment(k + 2) for k in range(2 * degrees.max() + 1)])
     return table[degrees[:, None] + degrees[None, :]]
-
-
-def quaternion_sphere_gram(samples: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    """Integrals of conj(f_i) f_j over S from samples, shape (E, E, 4).
-
-    The node reduction yields every component pair (a, b) at once; the
-    pairwise products over the nodes are never stored.
-    """
-    pairs = np.einsum("itpa,jtpb,tp->ijab", samples, samples, rule.node_weights())
-    return np.einsum("ijab,abk->ijk", pairs, _CONJ_TABLE)
 
 
 def fourier_expand(f: MPoly, max_degree: int, rule: QuadratureRule) -> FourierCoeffs:
@@ -232,6 +198,23 @@ def fourier_synthesize(coeffs: FourierCoeffs, x0, rho, phi) -> np.ndarray:
                            for n in range(coeffs.max_degree + 1)), 0, -1)
 
 
+@lru_cache(maxsize=None)
+def sphere_gram(max_degree: int) -> np.ndarray:
+    """Integrals of conj(f_i) f_j over S for the raw basis through max_degree, (E, E, 4).
+
+    Elements are ordered as basis_elements(max_degree), on the rule exact to
+    2 max_degree.  The node reduction yields every component pair (a, b) at
+    once; the pairwise products over the nodes are never stored.  Component 0
+    is the real Gram.  Memoized per degree and shared, so read-only.
+    """
+    rule = QuadratureRule.for_degree(2 * max_degree)
+    samples = basis_samples(rule, max_degree)
+    pairs = np.einsum("itpa,jtpb,tp->ijab", samples, samples, rule.node_weights())
+    gram = np.einsum("ijab,abk->ijk", pairs, _CONJ_TABLE)
+    gram.flags.writeable = False
+    return gram
+
+
 def gram_matrix_ball(max_degree: int) -> np.ndarray:
     """Real-inner-product Gram of the full orthonormal system, degrees <= max_degree.
 
@@ -240,13 +223,10 @@ def gram_matrix_ball(max_degree: int) -> np.ndarray:
     ball integral is the sphere integral times the radial moment of
     r^(n+k+2), normalized by sqrt(2n+3)/norm_S on each side.
     """
-    rule = QuadratureRule.for_degree(2 * max_degree)
-    samples = basis_samples(rule, max_degree)
-    sphere = np.einsum("itpc,jtpc,tp->ij", samples, samples, rule.node_weights())
     elements = basis_elements(max_degree)
     degrees = np.array([e.index.n for e in elements])
     scale = np.sqrt(2 * degrees + 3) / sphere_norms(elements)
-    return sphere * radial_pairs(degrees) * np.outer(scale, scale)
+    return sphere_gram(max_degree)[..., 0] * radial_pairs(degrees) * np.outer(scale, scale)
 
 
 def gram_matrix_quaternion(n: int) -> np.ndarray:
@@ -256,7 +236,6 @@ def gram_matrix_quaternion(n: int) -> np.ndarray:
     product, while the quaternion-valued products keep nonzero vector
     parts.  Reported for inspection, never asserted diagonal.
     """
-    rule = QuadratureRule.for_degree(2 * n)
-    block = basis_samples(rule, n)[-(2 * n + 3):]  # the degree-n elements come last
+    block = slice(-(2 * n + 3), None)  # the degree-n elements come last
     norms = sphere_norms(basis_for_degree(n))
-    return quaternion_sphere_gram(block, rule) / np.outer(norms, norms)[..., None]
+    return sphere_gram(n)[block, block] / np.outer(norms, norms)[..., None]

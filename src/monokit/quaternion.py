@@ -124,14 +124,8 @@ class Quaternion:
         """Scalar part."""
         return self.a
 
-    def vec(self) -> Quaternion:
-        return Quaternion(0, self.b, self.c, self.d)
-
     def norm_sq(self) -> Fraction:
         return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
-
-    def abs_float(self) -> float:
-        return math.sqrt(float(self.norm_sq()))
 
     def inverse(self) -> Quaternion:
         n = self.norm_sq()

@@ -22,25 +22,28 @@ from .basis import (BETA_VARIANTS, axial_closed_form, basis_elements,
                     spherical_monogenic)
 from .fueter import (fueter_power, fueter_power_permutation_sum, taylor_coefficients,
                      taylor_reconstruct)
-from .quadrature import (QuadratureRule, basis_samples, gram_matrix_ball,
-                         quaternion_sphere_gram, radial_pairs, sphere_norms)
+from .quadrature import (QuadratureRule, basis_samples, gram_matrix_ball, radial_pairs,
+                         sphere_gram, sphere_norms)
 
 SCHEMA = "monogenics-kit/1"
 
 # One row per section that decides pass or fail, in report order: (dotted path,
-# stderr detail format or None for "ok"/"see report", whether `check` runs it,
+# stderr detail format over the section's keys, whether `check` runs it,
 # builder).  A builder takes the run's config (build_report's keywords) and
 # looks its section function up when called, so patches and tracers see it.
 _RATIO = "max ratio {max_ratio:.12f}"
 SECTIONS = (
-    ("monogenicity", None, False, lambda c: check_monogenicity(c["max_degree"])),
+    ("monogenicity", "{elements} elements, failures {failures}", False,
+     lambda c: check_monogenicity(c["max_degree"])),
     ("gram", "max deviation {max_deviation:.3e} vs {tolerance:.0e}", True,
      lambda c: check_gram(c["max_degree"], c["tolerance"])),
-    ("ball_sphere_relation", None, False,
-     lambda c: check_ball_sphere_relation(c["max_degree"], c["tolerance"])),
-    ("norms", None, False,
-     lambda c: check_norms(c["max_degree"], c["tolerance"])),
-    ("taylor", None, False, lambda c: check_taylor(c["max_degree"])),
+    ("ball_sphere_relation", "max relative error {max_relative_error:.3e} vs {tolerance:.0e}",
+     False, lambda c: check_ball_sphere_relation(c["max_degree"], c["tolerance"])),
+    ("norms", "relative errors sphere {sphere_norm_rel_error:.3e}, scalar"
+     " {scalar_norm_rel_error:.3e}, constants {constants_scalar_norm_rel_error:.3e}"
+     " vs {tolerance:.0e}", False, lambda c: check_norms(c["max_degree"], c["tolerance"])),
+    ("taylor", "round trip exact {round_trip_exact}, permutation oracle match"
+     " {permutation_oracle_match}", False, lambda c: check_taylor(c["max_degree"])),
     ("bounds.corollary", _RATIO, True,
      lambda c: bohr_mod.verify_corollary_bounds(c["max_degree"]).to_json_dict()),
     ("bounds.pointwise", _RATIO, True,
@@ -77,10 +80,7 @@ def section_status(doc: dict, rows) -> list[tuple[str, bool, str]]:
         section = doc
         for key in path.split("."):
             section = section[key]
-        ok = section["passed"]
-        if detail is None:
-            detail = "ok" if ok else "see report"
-        out.append((path, ok, detail.format(**section)))
+        out.append((path, section["passed"], detail.format(**section)))
     return out
 
 
@@ -120,8 +120,7 @@ def check_ball_sphere_relation(max_degree: int, tolerance: float) -> dict:
     sphere-norm product so the tolerance is relative.
     """
     elements = basis_elements(max_degree)
-    rule = QuadratureRule.for_degree(2 * max_degree)
-    sphere = quaternion_sphere_gram(basis_samples(rule, max_degree), rule)
+    sphere = sphere_gram(max_degree)
     n = np.array([e.index.n for e in elements])
     ball = sphere * radial_pairs(n)[..., None]
     same_degree = (n[:, None] == n[None, :])[..., None]

@@ -1,4 +1,8 @@
-"""Reference routes that the batched float paths must reproduce bit for bit.
+"""Reference routes and oracles that only the tests call.
+
+The package keeps what the report, the command line, the demos and the
+benchmark run; every independent route that the tests compare it against
+lives here.
 
 block_terms folds one degree block of a Fourier series into one float
 coefficient per monomial of the block; eval_terms then evaluates that term
@@ -11,6 +15,15 @@ beta_{n+1,l,k} formulas verbatim: the component-wise axial expansion of
 r^n X^l_n and its parity-gated Taylor-coefficient sums.  basis.axial_closed_form
 builds the first as dirac_bar of one scalar polynomial, and report.taylor_agreement
 reads the second as that polynomial's x0-free coefficients.
+
+evaluate and eval_grid evaluate an MPoly exactly at a rational point and in
+floats at Cartesian points.  The pairwise quadrature products
+(inner_product_S, inner_product_B) are the reference of the batched Grams,
+the quaternion-valued moment integrals (inner_sphere_h, inner_ball_h) that of
+the real-product kernel of moments.  The Legendre residuals and norms check
+the identities of legendre.assoc_body, the truncated series and their
+bisection the closed-form Bohr thresholds, fueter_power_bound_check the
+modulus bound of the Fueter powers, and norm_sq_ball_closed the ball norms.
 """
 
 import math
@@ -18,10 +31,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from monokit.basis import _radius_sq_power, basis_for_degree, beta_table, complex_power_parts
-from monokit.mpoly import MPoly
-from monokit.quadrature import sphere_norms
-from monokit.quaternion import Quaternion
+from monokit.basis import (_radius_sq_power, basis_for_degree, beta_table, complex_power_parts,
+                           norm_sq_sphere_closed)
+from monokit.fueter import fueter_power
+from monokit.legendre import assoc_body
+from monokit.moments import ball_moment, sphere_moment
+from monokit.mpoly import MPoly, Point3, X0, eval_terms
+from monokit.quadrature import _CONJ_TABLE, QuadratureRule, radial_moment, sphere_norms
+from monokit.quaternion import Quaternion, frac
 
 
 def block_terms(n, alphas):
@@ -156,3 +173,225 @@ def printed_taylor_sums(n, l, variant):
 
         out[(a1, a2)] = Quaternion(comp0, comp1, comp2, 0)
     return out
+
+
+# -- polynomial evaluation -----------------------------------------------------------
+
+def evaluate(poly: MPoly, at: Point3) -> Quaternion:
+    """Exact evaluation at a rational point."""
+    x0, x1, x2 = (frac(c) for c in at)
+    total = Quaternion()
+    for exp, coeff in poly.terms.items():
+        total = total + coeff * (x0 ** exp[0] * x1 ** exp[1] * x2 ** exp[2])
+    return total
+
+
+def eval_grid(poly: MPoly, x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Float evaluation at Cartesian points (broadcastable arrays); grid+(4,)."""
+    return eval_terms(poly.float_terms(), x0, np.hypot(x1, x2), np.arctan2(x2, x1))
+
+
+# -- pairwise quadrature products -------------------------------------------------------
+
+def inner_product_S(f: MPoly, g: MPoly, rule: QuadratureRule) -> np.ndarray:
+    """Quaternion-valued integral of conj(f) g over S, as a 4-vector."""
+    rule.require(max(f.degree(), 0) + max(g.degree(), 0))
+    grid = rule.grid()
+    fv, gv = eval_terms(f.float_terms(), *grid), eval_terms(g.float_terms(), *grid)
+    return np.einsum("tpa,tpb,abk,tp->k", fv, gv, _CONJ_TABLE, rule.node_weights())
+
+
+def sc_inner_product_S(f: MPoly, g: MPoly, rule: QuadratureRule) -> float:
+    """The real inner product: integral of Sc(conj(f) g) over S."""
+    return float(inner_product_S(f, g, rule)[0])
+
+
+def inner_product_B(f: MPoly, g: MPoly, rule: QuadratureRule) -> np.ndarray:
+    """Quaternion-valued integral of conj(f) g over the unit ball.
+
+    Both inputs must be homogeneous; the radial direction is integrated by
+    an actual Gauss-Legendre rule on [0, 1] (not the analytic 1/(n+k+3)),
+    so the ball/sphere relation stays an honest statement to test.
+    """
+    for p in (f, g):
+        if not p.is_homogeneous():
+            raise ValueError("ball inner product needs homogeneous inputs")
+    radial = radial_moment(max(f.degree(), 0) + max(g.degree(), 0) + 2)
+    return inner_product_S(f, g, rule) * radial
+
+
+# -- quaternion-valued moment integrals ---------------------------------------------------
+
+def _integrate(poly: MPoly, moment) -> Quaternion:
+    total = Quaternion()
+    for exp, coeff in poly.terms.items():
+        q = moment(*exp)
+        if q:
+            total = total + coeff * q
+    return total
+
+
+def sphere_integral(poly: MPoly) -> Quaternion:
+    """Quaternion q with  integral_S poly dsigma = q * pi."""
+    return _integrate(poly, sphere_moment)
+
+
+def ball_integral(poly: MPoly) -> Quaternion:
+    return _integrate(poly, ball_moment)
+
+
+def inner_sphere_h(f: MPoly, g: MPoly) -> Quaternion:
+    """Quaternion-valued product: integral_S conj(f) g dsigma, over pi."""
+    return sphere_integral(f.conjugate() * g)
+
+
+def inner_ball_h(f: MPoly, g: MPoly) -> Quaternion:
+    return ball_integral(f.conjugate() * g)
+
+
+def norm_sq_ball_closed(n: int, m: int) -> Fraction:
+    return norm_sq_sphere_closed(n, m) / (2 * n + 3)
+
+
+# -- Legendre identities ----------------------------------------------------------------
+# Bodies of legendre.assoc_body go through MPoly in the variable x0 = t, so
+# their identities are MPoly equalities and their float values come from
+# eval_terms.
+
+def _x0_poly(coeffs) -> MPoly:
+    """The polynomial sum_k coeffs[k] x0^k."""
+    return MPoly({(k, 0, 0): c for k, c in enumerate(coeffs)})
+
+
+def _eval_x0(poly: MPoly, t) -> np.ndarray:
+    """Float values of a real polynomial in x0 at x0 = t, through eval_terms."""
+    return eval_terms(poly.float_terms(), t, 0.0, 0.0)[..., 0]
+
+
+_ONE_MINUS_T2 = MPoly.one() - X0 * X0
+
+
+def assoc_legendre_float(d: int, m: int, t) -> float | np.ndarray:
+    """P^m_d(t) = (1-t^2)^(m/2) Q_{d,m}(t), no Condon-Shortley sign."""
+    t = np.asarray(t, dtype=float)
+    out = (1.0 - t * t) ** (m / 2.0) * _eval_x0(_x0_poly(assoc_body(d, m)), t)
+    return out if np.shape(out) else float(out)
+
+
+def assoc_norm_sq(d: int, m: int) -> Fraction:
+    """Exact value of the integral of (P^m_d)^2 over [-1, 1].
+
+    (1-t^2)^m Q^2 is a genuine polynomial, so this is a rational number;
+    odd powers drop out and t^a integrates to 2/(a+1).
+    """
+    body = _x0_poly(assoc_body(d, m))
+    integrand = body * body
+    for _ in range(m):
+        integrand = integrand * _ONE_MINUS_T2
+    return sum((2 * c.sc() / (exp[0] + 1) for exp, c in integrand.terms.items()
+                if exp[0] % 2 == 0), Fraction(0))
+
+
+def assoc_norm_sq_closed(d: int, m: int) -> Fraction:
+    """2/(2d+1) * (d+m)!/(d-m)!"""
+    return Fraction(2, 2 * d + 1) * Fraction(math.factorial(d + m), math.factorial(d - m))
+
+
+def recurrence_residual(d: int, m: int) -> MPoly:
+    """Body-level residual of (1-t^2) d/dt P^m_d = (d+m) P^m_{d-1} - d t P^m_d.
+
+    After dividing out (1-t^2)^(m/2) the identity reads
+
+        (1-t^2) Q'_{d,m} - m t Q_{d,m} = (d+m) Q_{d-1,m} - d t Q_{d,m}
+
+    and the returned polynomial in x0 = t is LHS - RHS, exactly zero when
+    the identity holds.
+    """
+    q_d = _x0_poly(assoc_body(d, m))
+    q_prev = _x0_poly(assoc_body(d - 1, m))
+    lhs = _ONE_MINUS_T2 * q_d.partial(0) - m * (X0 * q_d)
+    rhs = (d + m) * q_prev - d * (X0 * q_d)
+    return lhs - rhs
+
+
+def ode_residual_body(d: int, m: int) -> MPoly:
+    """Exact residual of the m-times differentiated Legendre equation.
+
+    (1-t^2) Q'' - 2(m+1) t Q' + (d(d+1) - m(m+1)) Q = 0 for Q = Q_{d,m};
+    this is the associated equation with the root factor divided out.
+    The residual is a polynomial in x0 = t.
+    """
+    q = _x0_poly(assoc_body(d, m))
+    dq = q.partial(0)
+    return (_ONE_MINUS_T2 * dq.partial(0) - 2 * (m + 1) * (X0 * dq)
+            + (d * (d + 1) - m * (m + 1)) * q)
+
+
+def ode_residual(d: int, m: int, t: float) -> float:
+    """Float residual of (1-t^2) P'' - 2t P' + (d(d+1) - m^2/(1-t^2)) P at t.
+
+    Derivatives of the full associated function (root factor included) are
+    evaluated analytically from the body and its derivatives; |t| = 1 is
+    rejected because of the m^2/(1-t^2) pole.
+    """
+    if not -1.0 < t < 1.0:
+        raise ValueError(f"need |t| < 1, got {t}")
+    u = 1.0 - t * t
+    body = _x0_poly(assoc_body(d, m))
+    dbody = body.partial(0)
+    q, dq, ddq = (float(_eval_x0(p, t)) for p in (body, dbody, dbody.partial(0)))
+    root = u ** (m / 2.0)
+    p = root * q
+    g = u * dq - m * t * q
+    dp = root / u * g
+    dg = u * ddq - (m + 2) * t * dq - m * q
+    ddp = root / (u * u) * (-(m - 2) * t * g + u * dg)
+    return u * ddp - 2 * t * dp + (d * (d + 1) - m * m / u) * p
+
+
+# -- truncated Bohr series ------------------------------------------------------------
+
+def series_s1_truncated(r: float, terms: int) -> float:
+    q = 2.0 * r
+    return 5.0 / math.sqrt(math.pi) * sum(q ** n * (2 * n + 1) for n in range(1, terms + 1))
+
+
+def series_s2_truncated(r: float, terms: int) -> float:
+    return 4.0 / math.sqrt(3.0 * math.pi) * sum(r ** n / math.factorial(n)
+                                                for n in range(1, terms + 1))
+
+
+def _bisect(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
+    flo, fhi = fn(lo), fn(hi)
+    if flo * fhi > 0:
+        raise ValueError("bisection bracket does not straddle a root")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if flo * fn(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def series_f1_threshold_truncated(terms: int = 80) -> float:
+    """Bisection against the partial sum; oracle for the closed form."""
+    return _bisect(lambda r: series_s1_truncated(r, terms) - 1.0, 1e-9, 0.499)
+
+
+def series_f2_threshold_truncated(terms: int = 30) -> float:
+    return _bisect(lambda r: series_s2_truncated(r, terms) - 1.0, 1e-9, 2.0)
+
+
+# -- Fueter powers -------------------------------------------------------------------
+
+def fueter_power_bound_check(g1: int, g2: int, points) -> float:
+    """max over points of |V_gamma(x)| / r^n; the claim is that this is <= 1."""
+    n = g1 + g2
+    pts = np.asarray(points, dtype=float)
+    r = np.sqrt((pts ** 2).sum(axis=1))
+    if np.any(r == 0):
+        raise ValueError("points must avoid the origin")
+    values = eval_grid(fueter_power(g1, g2), pts[:, 0], pts[:, 1], pts[:, 2])
+    moduli = np.sqrt((values ** 2).sum(axis=-1))
+    return float(np.max(moduli / r ** n))

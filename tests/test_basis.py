@@ -8,14 +8,15 @@ import pytest
 
 from monokit.basis import (BETA_VARIANTS, BasisIndex, axial_closed_form,
                            basis_for_degree, beta_coefficient, degree_indices,
-                           norm_sq_ball_closed, norm_sq_sphere_closed,
-                           sc_e1_norm_sq_closed, sc_norm_sq_closed, solid_harmonic,
-                           spherical_monogenic)
-from monokit.legendre import assoc_legendre_float, double_factorial
+                           norm_sq_sphere_closed, sc_e1_norm_sq_closed, sc_norm_sq_closed,
+                           solid_harmonic, spherical_monogenic)
+from monokit.legendre import double_factorial
 from monokit.moments import norm_sq_ball, norm_sq_sphere
 from monokit.mpoly import MPoly, X0, X1, X2
-from monokit.quadrature import QuadratureRule, sc_inner_product_S
+from monokit.quadrature import QuadratureRule
 from monokit.quaternion import E1, E2
+from reference_routes import (assoc_legendre_float, eval_grid, norm_sq_ball_closed,
+                              sc_inner_product_S)
 
 
 def test_degree_zero_block():
@@ -158,8 +159,8 @@ def test_solid_harmonic_on_a_meridian_is_the_associated_legendre_function():
     t = np.linspace(-1.0, 1.0, 41)
     for n in range(13):
         for m in range(n + 1):
-            values = solid_harmonic(n, "U", m).eval_grid(t, np.sqrt(1.0 - t * t),
-                                                         np.zeros_like(t))[..., 0]
+            values = eval_grid(solid_harmonic(n, "U", m), t, np.sqrt(1.0 - t * t),
+                               np.zeros_like(t))[..., 0]
             reference = assoc_legendre_float(n, m, t)
             scale = max(1.0, float(np.abs(reference).max()))
             assert float(np.abs(values - reference).max()) <= 1e-12 * scale

@@ -8,20 +8,18 @@ import pytest
 from monokit import bohr as bohr_mod
 from monokit.basis import basis_for_degree, degree_indices, spherical_monogenic
 from monokit.bohr import (bohr_radius, coefficient_domination, empirical_bohr_sum,
-                          empirical_bohr_sweep, random_test_function,
-                          series_f1_threshold, series_f1_threshold_truncated,
-                          series_f2_threshold, series_f2_threshold_truncated,
-                          series_s1, series_s1_truncated, series_s2,
-                          series_s2_truncated, verify_constants_e1_bounds,
-                          verify_constants_ratio_lemma, verify_corollary_bounds,
-                          verify_pointwise_bounds, verify_sc_ratio_lemmas,
-                          verify_scalar_part_bounds)
-from monokit.legendre import assoc_legendre_float
+                          empirical_bohr_sweep, random_test_function, series_f1_threshold,
+                          series_f2_threshold, series_s1, series_s2,
+                          verify_constants_e1_bounds, verify_constants_ratio_lemma,
+                          verify_corollary_bounds, verify_pointwise_bounds,
+                          verify_sc_ratio_lemmas, verify_scalar_part_bounds)
 from monokit.moments import norm_sq_sphere
 from monokit.mpoly import eval_terms
 from monokit.quadrature import (FourierCoeffs, QuadratureRule, block_values, fourier_expand,
                                 fourier_synthesize)
-from reference_routes import block_terms, sphere_grid
+from reference_routes import (assoc_legendre_float, block_terms, eval_grid,
+                              series_f1_threshold_truncated, series_f2_threshold_truncated,
+                              series_s1_truncated, series_s2_truncated, sphere_grid)
 
 R1 = 0.049583846938703394
 R2 = 0.5695633074465153
@@ -183,7 +181,7 @@ def test_polynomial_family_certifies_above_a_ball_sample():
             sup_sq = bohr_mod._sphere_sup_sq(n, e.norm_sq_S)
             bound = bohr_mod.pointwise_polynomial_bound(n, e.index.m)
             certified[n, e.index.label] = math.sqrt(sup_sq) / bound
-            moduli = np.sqrt((e.poly.eval_grid(*points) ** 2).sum(axis=-1))
+            moduli = np.sqrt((eval_grid(e.poly, *points) ** 2).sum(axis=-1))
             sampled = float(np.max(moduli / (bound * radius ** n)))
             assert sampled <= certified[n, e.index.label] * (1.0 + 1e-12)
     assert report.max_ratio == max(certified.values()) == certified[0, "X:0"]
@@ -362,7 +360,7 @@ def test_empirical_sum_matches_per_element_reference():
     for n in range(6):
         block = np.zeros(grid[0].shape + (4,))
         for e, c in zip(basis_for_degree(n), coeffs.block(n)):
-            block += c * math.sqrt(2 * n + 3) / float(e.norm_S) * e.poly.eval_grid(*grid)
+            block += c * math.sqrt(2 * n + 3) / float(e.norm_S) * eval_grid(e.poly, *grid)
         reference += r ** n * float(np.sqrt((block ** 2).sum(axis=-1)).max())
     assert empirical_bohr_sum(coeffs, r) == pytest.approx(reference, rel=1e-13)
 

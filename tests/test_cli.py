@@ -107,6 +107,32 @@ def test_a_failing_section_fails_report_and_check_alike(capsys, monkeypatch, tmp
     assert not json.loads(out)["passed"]
 
 
+@pytest.mark.parametrize("name, section, line", [
+    ("monogenicity", {"max_degree": 1, "elements": 8, "passed": False, "failures": ["1:Y:2"]},
+     "FAIL monogenicity: 8 elements, failures ['1:Y:2']"),
+    ("ball_sphere_relation", {"max_degree": 1, "max_relative_error": 0.25, "tolerance": 1e-10,
+                              "passed": False},
+     "FAIL ball_sphere_relation: max relative error 2.500e-01 vs 1e-10"),
+    ("norms", {"max_degree": 1, "sphere_norm_rel_error": 1.5e-16, "scalar_norm_rel_error": 0.125,
+               "constants_scalar_norm_rel_error": 0.0, "constants_degree_range": [1, 1],
+               "tolerance": 1e-10, "passed": False},
+     "FAIL norms: relative errors sphere 1.500e-16, scalar 1.250e-01, constants 0.000e+00"
+     " vs 1e-10"),
+    ("taylor", {"max_degree": 1, "round_trip_exact": True, "permutation_oracle_match": False,
+                "passed": False},
+     "FAIL taylor: round trip exact True, permutation oracle match False"),
+], ids=["monogenicity", "ball_sphere_relation", "norms", "taylor"])
+def test_a_failing_row_names_its_observed_and_allowed_values(capsys, monkeypatch, tmp_path,
+                                                            name, section, line):
+    # the allowed value of a flag row is True (no failures); the others print their tolerance
+    monkeypatch.setattr(monokit.report, f"check_{name}", lambda *args: section)
+    code, _, err = run(capsys, "report", "--max-degree", "1", "--functions", "2",
+                       "--output", str(tmp_path / "r.json"))
+    assert code == 1
+    assert line in err.splitlines()
+    assert json.loads((tmp_path / "r.json").read_text())["failed_sections"] == [name]
+
+
 def test_check_bounds_match_the_report_sections(capsys):
     code, out, _ = run(capsys, "check", "--bounds", "pointwise", "--bounds", "sc",
                        "--bounds", "constants", "--bounds", "corollary", "--max-degree", "3")

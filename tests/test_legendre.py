@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from monokit.legendre import (assoc_body, assoc_legendre_float, assoc_norm_sq,
-                              assoc_norm_sq_closed, double_factorial, legendre_coeffs,
+from monokit.legendre import assoc_body, double_factorial, legendre_coeffs
+from reference_routes import (assoc_legendre_float, assoc_norm_sq, assoc_norm_sq_closed,
                               ode_residual, ode_residual_body, recurrence_residual)
 
 

@@ -5,10 +5,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from monokit.basis import basis_for_degree, norm_sq_sphere_closed
-from monokit.moments import (inner_ball, inner_ball_h, inner_sphere, inner_sphere_h,
-                             norm_sq_ball, norm_sq_sphere)
+from monokit.moments import inner_ball, inner_sphere, norm_sq_ball, norm_sq_sphere
 from monokit.mpoly import MPoly
 from monokit.quaternion import Quaternion
+from reference_routes import inner_ball_h, inner_sphere_h
 
 
 def assert_kernel_matches_reference(f: MPoly, g: MPoly) -> None:

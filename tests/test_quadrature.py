@@ -8,12 +8,13 @@ import pytest
 
 from monokit.basis import basis_elements, basis_for_degree
 from monokit.bohr import _bohr_grid_powers
-from monokit.moments import inner_ball_h, inner_sphere, inner_sphere_h, sphere_moment
+from monokit.moments import inner_sphere, sphere_moment
 from monokit.mpoly import MPoly, X0, X1, X2, eval_terms
 from monokit.quadrature import (FourierCoeffs, QuadratureRule, basis_samples,
                                 block_table, fourier_expand, fourier_synthesize, gram_matrix_ball,
-                                gram_matrix_quaternion, inner_product_B,
-                                inner_product_S, radial_moment, sc_inner_product_S)
+                                gram_matrix_quaternion, radial_moment, sphere_gram)
+from reference_routes import (eval_grid, inner_ball_h, inner_product_B, inner_product_S,
+                              inner_sphere_h, sc_inner_product_S)
 
 
 def test_weight_total_is_sphere_area():
@@ -112,7 +113,10 @@ def test_basis_samples_are_shared_and_read_only():
     assert table.nbytes < 50_000 > block_table(8)[0].nbytes
     grid_powers = _bohr_grid_powers(5)
     assert _bohr_grid_powers(5) is grid_powers
-    for shared in (table,) + grid_powers:
+    gram = sphere_gram(2)
+    assert gram.shape == (3 + 5 + 7, 3 + 5 + 7, 4)
+    assert sphere_gram(2) is gram
+    for shared in (table, gram) + grid_powers:
         assert not shared.flags.writeable
         with pytest.raises(ValueError):
             shared[(0,) * shared.ndim] = 1.0
@@ -180,14 +184,14 @@ def test_fourier_round_trip():
     x0 = np.cos(theta) * np.ones_like(phi)
     s = np.sin(theta)
     recon = fourier_synthesize(coeffs, np.cos(theta), s, phi)
-    direct = f.eval_grid(x0, s * np.cos(phi), s * np.sin(phi))
+    direct = eval_grid(f, x0, s * np.cos(phi), s * np.sin(phi))
     assert float(np.max(np.abs(recon - direct))) < 1e-10
     # reference: one eval_grid per element, scaled to the orthonormal system
     reference = np.zeros(x0.shape + (4,))
     for n in range(5):
         for e, c in zip(basis_for_degree(n), coeffs.block(n)):
             scale = c * math.sqrt(2 * n + 3) / float(e.norm_S)
-            reference += scale * e.poly.eval_grid(x0, s * np.cos(phi), s * np.sin(phi))
+            reference += scale * eval_grid(e.poly, x0, s * np.cos(phi), s * np.sin(phi))
     assert float(np.max(np.abs(recon - reference))) <= 1e-13 * float(np.max(np.abs(reference)))
     absent = [v for (n, _), v in coeffs.values.items() if n == 3]
     assert max(abs(v) for v in absent) < 1e-12
