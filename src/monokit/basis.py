@@ -31,8 +31,7 @@ from functools import cached_property, lru_cache
 
 from .legendre import assoc_body, legendre_coeffs
 from .moments import norm_sq_sphere
-from .mpoly import MPoly, sum_of_products
-from .quaternion import Quaternion
+from .mpoly import MPoly, X0, X1, X2, sum_of_products
 
 KINDS = ("X", "Y")
 
@@ -88,24 +87,18 @@ class BasisElement:
 # -- construction ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def complex_power_parts(m: int) -> tuple[MPoly, MPoly]:
-    """Re and Im of (x1 + i x2)^m as exact polynomials."""
-    re: dict = {}
-    im: dict = {}
+    """Re and Im of (x1 + i x2)^m as exact polynomials, shared; i^j is 1, i, -1, -i."""
+    parts: tuple[dict, dict] = ({}, {})
     for j in range(m + 1):
-        c = math.comb(m, j)
-        target, sign = ((re, 1), (im, 1), (re, -1), (im, -1))[j % 4]
-        target[(0, m - j, j)] = Quaternion(sign * c)
-    return MPoly(re), MPoly(im)
+        parts[j % 2][(0, m - j, j)] = [(-1) ** (j // 2) * math.comb(m, j), 0, 0, 0]
+    return MPoly._from_ints(1, parts[0]), MPoly._from_ints(1, parts[1])
 
 
 @lru_cache(maxsize=None)
 def _radius_sq_power(k: int) -> MPoly:
-    r2 = MPoly({(2, 0, 0): Quaternion(1), (0, 2, 0): Quaternion(1), (0, 0, 2): Quaternion(1)})
-    out = MPoly.one()
-    for _ in range(k):
-        out = out * r2
-    return out
+    return MPoly.one() if k == 0 else _radius_sq_power(k - 1) * (X0 * X0 + X1 * X1 + X2 * X2)
 
 
 def _axial(terms, angular: MPoly) -> MPoly:
@@ -252,9 +245,10 @@ def beta_table(n: int, l: int, variant: str) -> list[Fraction] | None:
     return None if None in table else table
 
 
+@lru_cache(maxsize=None)
 def axial_closed_form(n: int, l: int, variant: str = "binomial-falling") -> MPoly | None:
     """The printed axial expansion of r^n X^l_n per beta variant, or None where
-    that beta is undefined (statement-rising at l = 0 can hit a pole).
+    that beta is undefined (statement-rising at l = 0 can hit a pole); shared.
 
     The printed component sums are the product rule applied to one scalar
     H = sum_k beta_k x0^(n+1-2k-l) |x|^(2k) Re[(x1 + i x2)^l]: component 0

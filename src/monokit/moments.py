@@ -18,9 +18,10 @@ factor 1/(n+3), term by term.
 inner_sphere and inner_ball share one kernel on Sc(conj(f) g) = sum_c f_c g_c:
 it reads the stored integer components of both polynomials (MPoly.ints
 over MPoly.den), pairs only terms of the same exponent parity pattern (other
-moments vanish), and divides once, last.  No Quaternion is built.  The
-quaternion-valued route, which integrates the product conj(f) g term by term,
-is their reference in tests/reference_routes.py.
+moments vanish), sums weight * 4 (a-1)!!(b-1)!!(c-1)!! in integers per total
+degree D and divides each sum once, by (D+1)!! or on the ball (D+1)!! (D+3).
+No Quaternion is built.  The quaternion-valued route, which integrates the
+product conj(f) g term by term, is their reference in tests/reference_routes.py.
 """
 
 from __future__ import annotations
@@ -40,8 +41,12 @@ def sphere_moment(a: int, b: int, c: int) -> Fraction:
         raise ValueError(f"negative exponent in ({a}, {b}, {c})")
     if a % 2 or b % 2 or c % 2:
         return Fraction(0)
-    num = 4 * double_factorial(a - 1) * double_factorial(b - 1) * double_factorial(c - 1)
-    return Fraction(num, double_factorial(a + b + c + 1))
+    return Fraction(_numerator(a, b, c), double_factorial(a + b + c + 1))
+
+
+@lru_cache(maxsize=None)
+def _numerator(a: int, b: int, c: int) -> int:
+    return 4 * double_factorial(a - 1) * double_factorial(b - 1) * double_factorial(c - 1)
 
 
 @lru_cache(maxsize=None)
@@ -50,8 +55,8 @@ def ball_moment(a: int, b: int, c: int) -> Fraction:
     return sphere_moment(a, b, c) / (a + b + c + 3)
 
 
-def _real_product(f: MPoly, g: MPoly, moment) -> Fraction:
-    """sum_c integral f_c g_c, over pi: the scalar part of integral conj(f) g."""
+def _real_product(f: MPoly, g: MPoly, ball: bool) -> Fraction:
+    """sum_c integral f_c g_c, over pi: the scalar part of integral conj(f) g, on S or B."""
     g_groups = defaultdict(list)  # exponent parity pattern -> terms
     for e2, ints in g.ints.items():
         g_groups[(e2[0] % 2, e2[1] % 2, e2[2] % 2)].append((e2, ints))
@@ -60,17 +65,20 @@ def _real_product(f: MPoly, g: MPoly, moment) -> Fraction:
         for e2, (b0, b1, b2, b3) in g_groups[(e1[0] % 2, e1[1] % 2, e1[2] % 2)]:
             weights[(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])] += \
                 a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
-    total = sum((w * moment(*exp) for exp, w in weights.items() if w), Fraction(0))
-    return total / (f.den * g.den)
+    sums = defaultdict(int)  # total degree D -> sum of weight * numerator
+    for exp, w in weights.items():
+        sums[sum(exp)] += w * _numerator(*exp)
+    return sum((Fraction(s, double_factorial(d + 1) * (d + 3 if ball else 1) * f.den * g.den)
+                for d, s in sums.items()), Fraction(0))
 
 
 def inner_sphere(f: MPoly, g: MPoly) -> Fraction:
     """Real product: integral_S Sc(conj(f) g) dsigma, over pi."""
-    return _real_product(f, g, sphere_moment)
+    return _real_product(f, g, False)
 
 
 def inner_ball(f: MPoly, g: MPoly) -> Fraction:
-    return _real_product(f, g, ball_moment)
+    return _real_product(f, g, True)
 
 
 def norm_sq_sphere(f: MPoly) -> Fraction:

@@ -6,9 +6,9 @@ of two polynomials multiplies coefficients in quaternion order and adds
 exponents, which is exactly right because the variables commute with
 everything.  The value is stored in one canonical integer form: den > 0 and
 ints {exponent: [a, b, c, d]} with gcd(den, every int) == 1 and no all-zero
-term.  Arithmetic works on the ints and renormalises with one gcd; products,
-dirac and dirac_bar run through one kernel, sum_of_products.  The read-only
-{exponent: Quaternion} view, terms, is the only place a Fraction is made.
+term.  Arithmetic works on the ints and renormalises with one gcd; products
+run through one kernel, sum_of_products.  The read-only {exponent: Quaternion}
+view, terms, is the only place a Fraction is made.
 
 The generalized Cauchy-Riemann operator and its conjugate act from the
 left:
@@ -17,7 +17,9 @@ left:
     dirac_bar(f) = d/dx0 f - e1 d/dx1 f - e2 d/dx2 f
 
 A polynomial is (left) monogenic when dirac(f) == 0.  dirac(dirac_bar(f))
-is the Laplacian in the three variables.
+is the Laplacian in the three variables.  Both are one pass over the integer
+terms: left multiplication by e1 and e2 permutes the components with signs,
+e1 q = (-b, a, -d, c) and e2 q = (-c, d, a, -b) for q = (a, b, c, d).
 
 Float evaluation has one kernel, eval_bins, at points given as (x0, rho, phi)
 with x1 = rho cos phi and x2 = rho sin phi: padded tables binned by the x0 and
@@ -44,20 +46,13 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
-from .quaternion import E1, E2, Quaternion, frac, parse_components, Rational
+from .quaternion import E1, E2, Quaternion, parse_components
 
 Exponent = tuple[int, int, int]
-Point3 = tuple[Fraction, Fraction, Fraction]
-
-
-def point(x0: Union[Rational, str], x1: Union[Rational, str],
-          x2: Union[Rational, str]) -> Point3:
-    """Exact point of R^3; floats are rejected."""
-    return (frac(x0), frac(x1), frac(x2))
 
 
 def _as_coeff(value) -> Quaternion:
@@ -187,12 +182,22 @@ class MPoly:
         return MPoly._from_ints(self.den, out)
 
     def dirac(self) -> MPoly:
-        return sum_of_products([(MPoly.scalar(unit), self.partial(i))
-                                for i, unit in enumerate((1, E1, E2))])
+        return self._dirac(1)
 
     def dirac_bar(self) -> MPoly:
-        return sum_of_products([(MPoly.scalar(unit), self.partial(i))
-                                for i, unit in enumerate((1, -E1, -E2))])
+        return self._dirac(-1)
+
+    def _dirac(self, s: int) -> MPoly:
+        """d0 f + s (e1 d1 f + e2 d2 f), one pass over the integer terms."""
+        acc: dict[Exponent, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
+        for (x, y, z), (a, b, c, d) in self.ints.items():
+            for exp, k, (p, q, r, u) in (((x - 1, y, z), x, (a, b, c, d)),
+                                         ((x, y - 1, z), s * y, (-b, a, -d, c)),
+                                         ((x, y, z - 1), s * z, (-c, d, a, -b))):
+                if k:
+                    t = acc[exp]
+                    t[:] = t[0] + k * p, t[1] + k * q, t[2] + k * r, t[3] + k * u
+        return MPoly._from_ints(self.den, acc)
 
     def laplacian(self) -> MPoly:
         return sum((self.partial(i).partial(i) for i in range(3)), MPoly.zero())
@@ -293,17 +298,16 @@ class MPoly:
 def sum_of_products(pairs) -> MPoly:
     """sum of f * g over a list of (f, g) pairs, on the stored integer components.
 
-    Every pair is rescaled to den, the lcm over the pairs of f.den * g.den.
-    A term pair costs the 16 int products of the quaternion table in (f, g)
-    order; the sums are brought to canonical form by one gcd at the end.
+    Every pair is rescaled to den, the lcm over the pairs of f.den * g.den, on
+    the terms of g.  A term pair costs the 16 int products of the quaternion
+    table in (f, g) order; the sums are brought to canonical form by one gcd.
     """
     den = math.lcm(*(f.den * g.den for f, g in pairs))
     acc: dict[Exponent, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
     for f, g in pairs:
         k = den // (f.den * g.den)
-        g_terms = g.ints.items()
-        for e1, comps in f.ints.items():
-            a1, b1, c1, d1 = (k * x for x in comps)
+        g_terms = [(e, [k * x for x in c]) for e, c in g.ints.items()] if k > 1 else g.ints.items()
+        for e1, (a1, b1, c1, d1) in f.ints.items():
             for e2, (a2, b2, c2, d2) in g_terms:
                 exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
                 s = acc[exp]

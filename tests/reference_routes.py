@@ -16,8 +16,8 @@ r^n X^l_n and its parity-gated Taylor-coefficient sums.  basis.axial_closed_form
 builds the first as dirac_bar of one scalar polynomial, and report.taylor_agreement
 reads the second as that polynomial's x0-free coefficients.
 
-evaluate and eval_grid evaluate an MPoly exactly at a rational point and in
-floats at Cartesian points.  The pairwise quadrature products
+evaluate and eval_grid evaluate an MPoly exactly at a rational point (built
+by point) and in floats at Cartesian points.  The pairwise quadrature products
 (inner_product_S, inner_product_B) are the reference of the batched Grams,
 the quaternion-valued moment integrals (inner_sphere_h, inner_ball_h) that of
 the real-product kernel of moments.  The Legendre residuals and norms check
@@ -36,9 +36,11 @@ from monokit.basis import (_radius_sq_power, basis_for_degree, beta_table, compl
 from monokit.fueter import fueter_power
 from monokit.legendre import assoc_body
 from monokit.moments import ball_moment, sphere_moment
-from monokit.mpoly import MPoly, Point3, X0, eval_terms
+from monokit.mpoly import MPoly, X0, eval_terms
 from monokit.quadrature import _CONJ_TABLE, QuadratureRule, radial_moment, sphere_norms
-from monokit.quaternion import Quaternion, frac
+from monokit.quaternion import Quaternion, Rational, frac
+
+Point3 = tuple[Fraction, Fraction, Fraction]
 
 
 def block_terms(n, alphas):
@@ -176,6 +178,11 @@ def printed_taylor_sums(n, l, variant):
 
 
 # -- polynomial evaluation -----------------------------------------------------------
+
+def point(x0: Rational | str, x1: Rational | str, x2: Rational | str) -> Point3:
+    """Exact point of R^3; floats are rejected."""
+    return (frac(x0), frac(x1), frac(x2))
+
 
 def evaluate(poly: MPoly, at: Point3) -> Quaternion:
     """Exact evaluation at a rational point."""

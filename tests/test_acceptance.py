@@ -33,7 +33,8 @@ def emit(num: int, name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_exact_monogenicity():
     for cached in (basis.solid_harmonic, basis.spherical_monogenic, basis.basis_for_degree,
-                   basis._radius_sq_power, legendre.legendre_coeffs, legendre.assoc_body):
+                   basis._radius_sq_power, basis.complex_power_parts, legendre.legendre_coeffs,
+                   legendre.assoc_body):
         cached.cache_clear()
     start = time.perf_counter()
     failures = []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from monokit.basis import (BETA_VARIANTS, BasisIndex, axial_closed_form,
-                           basis_for_degree, beta_coefficient, degree_indices,
+                           basis_for_degree, beta_coefficient, complex_power_parts, degree_indices,
                            norm_sq_sphere_closed, sc_e1_norm_sq_closed, sc_norm_sq_closed,
                            solid_harmonic, spherical_monogenic)
 from monokit.legendre import double_factorial
@@ -185,6 +185,25 @@ def test_axial_closed_form_agreement():
             assert axial_closed_form(n, l, "binomial-falling") == canonical
     # the other readings are kept verbatim; they do not reproduce the system
     assert axial_closed_form(2, 1, "proof-bare") != spherical_monogenic(2, "X", 1).poly
+
+
+def test_complex_power_parts_are_the_binomial_expansion():
+    for m in range(14):
+        re = im = MPoly.zero()
+        for j in range(m + 1):  # C(m, j) x1^(m-j) (i x2)^j
+            monomial = MPoly.one()
+            for factor in [X1] * (m - j) + [X2] * j:
+                monomial = monomial * factor
+            unit = 1j ** j
+            re = re + math.comb(m, j) * round(unit.real) * monomial
+            im = im + math.comb(m, j) * round(unit.imag) * monomial
+        assert complex_power_parts(m) == (re, im)
+        assert complex_power_parts(m) is complex_power_parts(m)
+
+
+def test_axial_closed_forms_are_shared():
+    for variant in BETA_VARIANTS:
+        assert axial_closed_form(4, 2, variant) is axial_closed_form(4, 2, variant)
 
 
 def test_norm_S_matches_the_quadrature_norm():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import monokit.legendre
 import monokit.mpoly
 import monokit.quaternion
-from monokit.basis import basis_for_degree
+from monokit.basis import basis_for_degree, solid_harmonic
 from monokit.fueter import fueter_power, taylor_coefficients, taylor_reconstruct
 from monokit.mpoly import MPoly, Z1, Z2, sum_of_products
 from monokit.quaternion import E1, E2, E3, Quaternion
@@ -63,6 +63,16 @@ def test_scalar_multiples_keep_their_side(f, q, c):
 def test_dirac_matches_the_quaternion_loop(f):
     assert f.dirac() == _reference_dirac(f, 1)
     assert f.dirac_bar() == _reference_dirac(f, -1)
+
+
+def test_dirac_matches_the_quaternion_loop_on_the_basis_and_its_harmonics():
+    # exponents up to 13 and large integers, beyond what the drawn polynomials reach
+    for n in range(13):
+        harmonics = [solid_harmonic(n + 1, kind, m)
+                     for kind, low in (("U", 0), ("V", 1)) for m in range(low, n + 2)]
+        for f in harmonics + [e.poly for e in basis_for_degree(n)]:
+            assert f.dirac() == _reference_dirac(f, 1)
+            assert f.dirac_bar() == _reference_dirac(f, -1)
 
 
 @repeatable

@@ -45,6 +45,21 @@ def test_mixed_parity_and_zero_polynomials_match_quaternion_route():
     assert norm_sq_ball(f) == inner_ball_h(f, f).sc()
 
 
+def test_sums_over_several_degrees_match_quaternion_route():
+    # each call divides one sum per total degree; these pairs reach degrees 0 to 16
+    def combination(degrees, shift):
+        out = MPoly.zero()
+        for n in degrees:
+            for i, e in enumerate(basis_for_degree(n)):
+                out = out + Fraction(i - shift, i + n + 1) * e.poly
+        return out
+
+    f, g = combination((0, 3, 8), 2), combination((1, 2, 7, 8), 5)
+    for a, b in ((f, g), (g, f), (f, f), (g, g)):
+        assert_kernel_matches_reference(a, b)
+    assert inner_sphere(f, g) != 0 and inner_ball(f, g) != 0
+
+
 def test_sphere_norms_equal_closed_forms_through_degree_12():
     count = 0
     for n in range(13):

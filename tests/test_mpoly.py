@@ -8,9 +8,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from monokit.mpoly import MPoly, X0, X1, X2, Z1, Z2, eval_terms, point
+from monokit.mpoly import MPoly, X0, X1, X2, Z1, Z2, eval_terms
 from monokit.quaternion import E1, E2, Quaternion, parse_frac_str
-from reference_routes import block_terms, eval_grid, evaluate, sphere_grid
+from reference_routes import block_terms, eval_grid, evaluate, point, sphere_grid
 
 
 def test_construction_and_degree():

@@ -12,7 +12,7 @@ from monokit.moments import inner_sphere, sphere_moment
 from monokit.mpoly import MPoly, X0, X1, X2, eval_terms
 from monokit.quadrature import (FourierCoeffs, QuadratureRule, basis_samples,
                                 block_table, fourier_expand, fourier_synthesize, gram_matrix_ball,
-                                gram_matrix_quaternion, radial_moment, sphere_gram)
+                                gram_matrix_quaternion, radial_moment, sphere_gram, sphere_norms)
 from reference_routes import (eval_grid, inner_ball_h, inner_product_B, inner_product_S,
                               inner_sphere_h, sc_inner_product_S)
 
@@ -97,6 +97,13 @@ def test_gram_matrix_quaternion_matches_pairwise_reference():
                                / (float(e.norm_S) * float(g.norm_S)) for g in block]
                               for e in block])
         assert float(np.max(np.abs(gram_matrix_quaternion(n) - reference))) < 1e-13
+
+
+def test_gram_matrix_quaternion_is_its_block_of_the_sphere_gram_bit_for_bit():
+    for n in (1, 3, 6):
+        norms = sphere_norms(basis_for_degree(n))
+        block = sphere_gram(n)[-len(norms):, -len(norms):] / np.outer(norms, norms)[..., None]
+        assert np.array_equal(gram_matrix_quaternion(n), block)
 
 
 def test_basis_samples_are_shared_and_read_only():
