@@ -101,14 +101,19 @@ def _radius_sq_power(k: int) -> MPoly:
     return MPoly.one() if k == 0 else _radius_sq_power(k - 1) * (X0 * X0 + X1 * X1 + X2 * X2)
 
 
-def _axial(terms, angular: MPoly) -> MPoly:
-    """sum of c x0^a |x|^r over the (c, a, r) terms, r even, times angular, a Re or Im
-    part of (x1 + i x2)^m, from one sum_of_products."""
+def _axial(terms) -> MPoly:
+    """sum of c x0^a |x|^r over the (c, a, r) terms, r even, from one sum_of_products."""
     pairs = []
     for c, a, r in terms:
         assert r % 2 == 0, "radius power is odd"
         pairs.append((MPoly.monomial((a, 0, 0), c), _radius_sq_power(r // 2)))
-    return sum_of_products(pairs) * angular
+    return sum_of_products(pairs)
+
+
+@lru_cache(maxsize=None)
+def _legendre_radial(deg: int, m: int) -> MPoly:
+    """sum_j q_j x0^j |x|^(deg-m-j), q_j from assoc_body(deg, m); shared by U and V."""
+    return _axial([(q, j, deg - m - j) for j, q in enumerate(assoc_body(deg, m)) if q])
 
 
 @lru_cache(maxsize=None)
@@ -122,8 +127,7 @@ def solid_harmonic(deg: int, kind: str, m: int) -> MPoly:
     low = 0 if kind == "U" else 1
     if not low <= m <= deg:
         raise ValueError(f"order {m} out of range for {kind} of degree {deg}")
-    return _axial([(q, j, deg - m - j) for j, q in enumerate(assoc_body(deg, m)) if q],
-                  complex_power_parts(m)[kind == "V"])
+    return _legendre_radial(deg, m) * complex_power_parts(m)[kind == "V"]
 
 
 @lru_cache(maxsize=None)
@@ -136,7 +140,7 @@ def spherical_monogenic(n: int, kind: str, m: int) -> BasisElement:
     """
     index = BasisIndex(kind, n, m)
     harmonic = solid_harmonic(n + 1, "U" if kind == "X" else "V", m)
-    return BasisElement(index, harmonic.dirac_bar() / 2)
+    return BasisElement(index, harmonic._dirac(-1, 2))  # dirac_bar() / 2, normalised once
 
 
 @lru_cache(maxsize=None)
@@ -259,5 +263,5 @@ def axial_closed_form(n: int, l: int, variant: str = "binomial-falling") -> MPol
     beta = beta_table(n, l, variant)
     if beta is None:
         return None
-    return _axial([(b, n + 1 - 2 * k - l, 2 * k) for k, b in enumerate(beta)],
-                  complex_power_parts(l)[0]).dirac_bar()
+    return (_axial([(b, n + 1 - 2 * k - l, 2 * k) for k, b in enumerate(beta)])
+            * complex_power_parts(l)[0]).dirac_bar()

@@ -232,8 +232,7 @@ def _sphere_sup_sq(n: int, norm_sq: Fraction) -> Fraction:
 def _harmonic_sup_sq(p: MPoly, n: int, norm_sq: Fraction) -> Fraction | None:
     """_sphere_sup_sq(n, norm_sq = ||p||^2/pi) if p is homogeneous of degree n with
     a zero Laplacian, else None."""
-    harmonic = p.is_homogeneous() and p.degree() == n and p.laplacian().is_zero()
-    return _sphere_sup_sq(n, norm_sq) if harmonic else None
+    return _sphere_sup_sq(n, norm_sq) if p.harmonic_degree() == n else None
 
 
 def _decided_ratio(sup_sq: Fraction | None, bound: Fraction) -> float:

@@ -15,13 +15,15 @@ with the single transcendental factored out.
 Over the unit ball a monomial of total degree n picks up the radial
 factor 1/(n+3), term by term.
 
-inner_sphere and inner_ball share one kernel on Sc(conj(f) g) = sum_c f_c g_c:
-it reads the stored integer components of both polynomials (MPoly.ints
-over MPoly.den), pairs only terms of the same exponent parity pattern (other
-moments vanish), sums weight * 4 (a-1)!!(b-1)!!(c-1)!! in integers per total
-degree D and divides each sum once, by (D+1)!! or on the ball (D+1)!! (D+3).
-No Quaternion is built.  The quaternion-valued route, which integrates the
-product conj(f) g term by term, is their reference in tests/reference_routes.py.
+inner_sphere and inner_ball share one kernel on Sc(conj(f) g) = sum_c f_c g_c over
+the stored integers (MPoly.ints, MPoly.den).  For f, g harmonic of one degree n
+(MPoly.harmonic_degree) it is the Fischer product, one pass over the terms:
+integral_S p q dsigma = 4*pi sum_alpha alpha! p_alpha q_alpha / (2n+1)!! (Axler, Bourdon
+& Ramey, Harmonic Function Theory, ch. 5; Stein & Weiss 1971, ch. IV), divided by 2n+3
+on the ball.  Any other input takes the pair kernel: terms of one exponent parity pattern
+(other moments vanish), weight * 4 (a-1)!!(b-1)!!(c-1)!! summed in integers per total
+degree D, each sum divided once by (D+1)!! or (D+1)!! (D+3).  The quaternion route and
+the pair kernel alone are their references in tests/reference_routes.py.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .legendre import double_factorial
 from .mpoly import MPoly
@@ -55,8 +58,22 @@ def ball_moment(a: int, b: int, c: int) -> Fraction:
     return sphere_moment(a, b, c) / (a + b + c + 3)
 
 
+@lru_cache(maxsize=None)
+def _factorials(a: int, b: int, c: int) -> int:
+    return factorial(a) * factorial(b) * factorial(c)
+
+
 def _real_product(f: MPoly, g: MPoly, ball: bool) -> Fraction:
     """sum_c integral f_c g_c, over pi: the scalar part of integral conj(f) g, on S or B."""
+    n = f.harmonic_degree()
+    if n is not None and (g is f or g.harmonic_degree() == n):
+        s = 0  # the Fischer product [f, g] over f.den * g.den
+        for e, (a0, a1, a2, a3) in f.ints.items():
+            b = g.ints.get(e)
+            if b:
+                s += _factorials(*e) * (a0 * b[0] + a1 * b[1] + a2 * b[2] + a3 * b[3])
+        return Fraction(4 * s, double_factorial(2 * n + 1) * (2 * n + 3 if ball else 1)
+                        * f.den * g.den)
     g_groups = defaultdict(list)  # exponent parity pattern -> terms
     for e2, ints in g.ints.items():
         g_groups[(e2[0] % 2, e2[1] % 2, e2[2] % 2)].append((e2, ints))

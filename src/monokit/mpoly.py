@@ -17,9 +17,10 @@ left:
     dirac_bar(f) = d/dx0 f - e1 d/dx1 f - e2 d/dx2 f
 
 A polynomial is (left) monogenic when dirac(f) == 0.  dirac(dirac_bar(f))
-is the Laplacian in the three variables.  Both are one pass over the integer
-terms: left multiplication by e1 and e2 permutes the components with signs,
-e1 q = (-b, a, -d, c) and e2 q = (-c, d, a, -b) for q = (a, b, c, d).
+is the Laplacian in the three variables.  dirac, dirac_bar and laplacian are
+each one pass over the integer terms; in the first two, left multiplication by
+e1 and e2 permutes the components with signs, e1 q = (-b, a, -d, c) and
+e2 q = (-c, d, a, -b) for q = (a, b, c, d).
 
 Float evaluation has one kernel, eval_bins, at points given as (x0, rho, phi)
 with x1 = rho cos phi and x2 = rho sin phi: padded tables binned by the x0 and
@@ -187,8 +188,8 @@ class MPoly:
     def dirac_bar(self) -> MPoly:
         return self._dirac(-1)
 
-    def _dirac(self, s: int) -> MPoly:
-        """d0 f + s (e1 d1 f + e2 d2 f), one pass over the integer terms."""
+    def _dirac(self, s: int, scale: int = 1) -> MPoly:
+        """(d0 f + s (e1 d1 f + e2 d2 f)) / scale, one pass over the integer terms."""
         acc: dict[Exponent, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
         for (x, y, z), (a, b, c, d) in self.ints.items():
             for exp, k, (p, q, r, u) in (((x - 1, y, z), x, (a, b, c, d)),
@@ -197,10 +198,18 @@ class MPoly:
                 if k:
                     t = acc[exp]
                     t[:] = t[0] + k * p, t[1] + k * q, t[2] + k * r, t[3] + k * u
-        return MPoly._from_ints(self.den, acc)
+        return MPoly._from_ints(self.den * scale, acc)
 
     def laplacian(self) -> MPoly:
-        return sum((self.partial(i).partial(i) for i in range(3)), MPoly.zero())
+        """d0^2 f + d1^2 f + d2^2 f, one pass over the integer terms."""
+        acc: dict[Exponent, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
+        for (x, y, z), (a, b, c, d) in self.ints.items():
+            for exp, k in (((x - 2, y, z), x * (x - 1)), ((x, y - 2, z), y * (y - 1)),
+                           ((x, y, z - 2), z * (z - 1))):
+                if k:
+                    t = acc[exp]
+                    t[:] = t[0] + k * a, t[1] + k * b, t[2] + k * c, t[3] + k * d
+        return MPoly._from_ints(self.den, acc)
 
     # -- inspection ----------------------------------------------------------
 
@@ -216,6 +225,10 @@ class MPoly:
     def is_homogeneous(self) -> bool:
         degrees = {sum(exp) for exp in self.ints}
         return len(degrees) <= 1
+
+    def harmonic_degree(self) -> int | None:
+        """n if homogeneous of degree n with a zero Laplacian (-1 for 0), else None."""
+        return self.degree() if self.is_homogeneous() and self.laplacian().is_zero() else None
 
     def is_reduced(self) -> bool:
         """True when every coefficient lies in span{1, e1, e2}."""

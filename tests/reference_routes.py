@@ -20,13 +20,15 @@ evaluate and eval_grid evaluate an MPoly exactly at a rational point (built
 by point) and in floats at Cartesian points.  The pairwise quadrature products
 (inner_product_S, inner_product_B) are the reference of the batched Grams,
 the quaternion-valued moment integrals (inner_sphere_h, inner_ball_h) that of
-the real-product kernel of moments.  The Legendre residuals and norms check
-the identities of legendre.assoc_body, the truncated series and their
-bisection the closed-form Bohr thresholds, fueter_power_bound_check the
-modulus bound of the Fueter powers, and norm_sq_ball_closed the ball norms.
+the real-product kernel of moments, and pair_real_product, that kernel's
+pair route alone, the reference of its Fischer route.  The Legendre residuals
+and norms check the identities of legendre.assoc_body, the truncated series
+and their bisection the closed-form Bohr thresholds, fueter_power_bound_check
+the modulus bound of the Fueter powers, and norm_sq_ball_closed the ball norms.
 """
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -34,8 +36,8 @@ import numpy as np
 from monokit.basis import (_radius_sq_power, basis_for_degree, beta_table, complex_power_parts,
                            norm_sq_sphere_closed)
 from monokit.fueter import fueter_power
-from monokit.legendre import assoc_body
-from monokit.moments import ball_moment, sphere_moment
+from monokit.legendre import assoc_body, double_factorial
+from monokit.moments import _numerator, ball_moment, sphere_moment
 from monokit.mpoly import MPoly, X0, eval_terms
 from monokit.quadrature import _CONJ_TABLE, QuadratureRule, radial_moment, sphere_norms
 from monokit.quaternion import Quaternion, Rational, frac
@@ -254,6 +256,23 @@ def inner_sphere_h(f: MPoly, g: MPoly) -> Quaternion:
 
 def inner_ball_h(f: MPoly, g: MPoly) -> Quaternion:
     return ball_integral(f.conjugate() * g)
+
+
+def pair_real_product(f: MPoly, g: MPoly, ball: bool) -> Fraction:
+    """sum_c integral f_c g_c, over pi, from every pair of terms of one parity pattern."""
+    g_groups = defaultdict(list)  # exponent parity pattern -> terms
+    for e2, ints in g.ints.items():
+        g_groups[(e2[0] % 2, e2[1] % 2, e2[2] % 2)].append((e2, ints))
+    weights = defaultdict(int)
+    for e1, (a0, a1, a2, a3) in f.ints.items():
+        for e2, (b0, b1, b2, b3) in g_groups[(e1[0] % 2, e1[1] % 2, e1[2] % 2)]:
+            weights[(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])] += \
+                a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+    sums = defaultdict(int)  # total degree D -> sum of weight * numerator
+    for exp, w in weights.items():
+        sums[sum(exp)] += w * _numerator(*exp)
+    return sum((Fraction(s, double_factorial(d + 1) * (d + 3 if ball else 1) * f.den * g.den)
+                for d, s in sums.items()), Fraction(0))
 
 
 def norm_sq_ball_closed(n: int, m: int) -> Fraction:
