@@ -53,8 +53,8 @@ from .basis import (basis_elements, basis_for_degree, complex_power_parts,
 from .fueter import taylor_coefficients
 from .legendre import double_factorial
 from .moments import norm_sq_sphere
-from .mpoly import MPoly, grid_powers
-from .quadrature import FourierCoeffs, block_values
+from .mpoly import MPoly
+from .quadrature import FourierCoeffs, block_values, grid_powers
 
 
 # -- majorant series -----------------------------------------------------------

@@ -22,11 +22,8 @@ each one pass over the integer terms; in the first two, left multiplication by
 e1 and e2 permutes the components with signs, e1 q = (-b, a, -d, c) and
 e2 q = (-c, d, a, -b) for q = (a, b, c, d).
 
-Float evaluation has one kernel, eval_bins, at points given as (x0, rho, phi)
-with x1 = rho cos phi and x2 = rho sin phi: padded tables binned by the x0 and
-rho powers, one einsum per polynomial and component.  eval_terms lays out one
-term list for it.  Exact evaluation at a rational point and float evaluation
-at Cartesian points are test references (tests/reference_routes.py).
+Floats are evaluated in quadrature, whose eval_terms reads float_terms.  Exact
+evaluation at a rational point is a test reference (tests/reference_routes.py).
 
 Example
 -------
@@ -48,8 +45,6 @@ from collections import defaultdict
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterator
-
-import numpy as np
 
 from .quaternion import E1, E2, Quaternion, parse_components
 
@@ -272,14 +267,12 @@ class MPoly:
             bits.append(f"({coeff!r})" + (f"*{mono}" if mono else ""))
         return "MPoly[" + " + ".join(bits) + "]"
 
-    # -- evaluation -----------------------------------------------------------
+    # -- serialization ----------------------------------------------------------
 
     def float_terms(self) -> list[tuple[Exponent, tuple[float, ...]]]:
-        """Sorted (exponent, 4 floats) terms, the input of eval_terms."""
+        """Sorted (exponent, 4 floats) terms, the input of quadrature.eval_terms."""
         den = self.den  # int / int rounds correctly, as float(Fraction) does
         return [(e, tuple(x / den for x in comps)) for e, comps in sorted(self.ints.items())]
-
-    # -- serialization ----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         return {"terms": [{"e": list(exp), "c": coeff.to_strings()}
@@ -329,68 +322,6 @@ def sum_of_products(pairs) -> MPoly:
                 s[2] += a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2
                 s[3] += a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2
     return MPoly._from_ints(den, acc)
-
-
-def _powers(v: np.ndarray, top: int) -> np.ndarray:
-    """v^0 .. v^top by repeated multiplication, stacked on a new first axis, read-only."""
-    table = np.empty((top + 1,) + v.shape)
-    table[0] = 1.0
-    for k in range(1, top + 1):
-        # table[k, ...] stays an array view when v is 0-d; table[k] would not
-        np.multiply(table[k - 1], v, out=table[k, ...])
-    table.flags.writeable = False
-    return table
-
-
-def grid_powers(x0, rho, phi, top: int) -> tuple[np.ndarray, ...]:
-    """x0^k, rho^k on their broadcast shape and cos^k, sin^k of phi on its shape, k = 0..top."""
-    x0, rho = np.broadcast_arrays(np.asarray(x0, dtype=float), np.asarray(rho, dtype=float))
-    return tuple(_powers(v, top) for v in (x0, rho, np.cos(phi), np.sin(phi)))
-
-
-def eval_bins(table, bins, powers) -> np.ndarray:
-    """The float kernel: E padded bin tables at the points of powers (grid_powers); (E, 4) + grid.
-
-    table[e, k, i, b] is component k of polynomial e on x0^a rho^s cos^b sin^(s-b),
-    (a, s) = bins[i]; the slots b ascend and b > s is zero padding.  Rows comps *
-    cos^b * sin^(s-b) are summed slot by slot from zero, then each live (e, k) is
-    one einsum (no BLAS) over the bin axis with the columns x0^a rho^s, adding the
-    bins in order; an (e, k) zero in every slot is skipped.
-    """
-    x0_pow, rho_pow, cos_pow, sin_pow = powers
-    a, s = np.asarray(bins, dtype=int).reshape(-1, 2).T
-    live = table.any(axis=(2, 3))
-    comps = np.flatnonzero(live.any(axis=0))
-    coeffs = table[:, comps][(...,) + (None,) * (cos_pow.ndim - 1)]  # onto the phi shape
-    rows = np.zeros(coeffs.shape[:3] + cos_pow.shape[1:])
-    term = np.empty_like(rows)  # one buffer for the products of every slot
-    for b in range(table.shape[3]):
-        np.multiply(coeffs[:, :, :, b], cos_pow[b], out=term)
-        rows += np.multiply(term, sin_pow[np.maximum(s - b, 0)], out=term)
-    radial = x0_pow[a] * rho_pow[s]
-    out = np.empty(table.shape[:2] + np.broadcast_shapes(radial.shape[1:], cos_pow.shape[1:]))
-    out[~live] = 0.0  # einsum zeroes the live ones before it adds
-    for e, i in zip(*np.nonzero(live[:, comps])):
-        # out[e, k, ...] stays an array view when the points are 0-d; out[e, k] would not
-        np.einsum("b...,b...->...", radial, rows[e, i], out=out[e, comps[i], ...])
-    return out
-
-
-def eval_terms(terms, x0, rho, phi) -> np.ndarray:
-    """The one float evaluator: (exponent, 4 floats) terms at x1 = rho cos phi, x2 = rho sin phi.
-
-    x0^a x1^b x2^c is x0^a rho^(b+c) cos^b sin^c, so the terms fill a padded table
-    for eval_bins, bins (a, b+c) in sorted order and slot b; the order of the terms
-    does not matter.  Returns grid + (4,).
-    """
-    terms = list(terms)  # each term is added into its own zero cell, so any order will do
-    bins = sorted({(a, b + c) for (a, b, c), _ in terms})
-    index = {key: i for i, key in enumerate(bins)}
-    table = np.zeros((1, 4, len(bins), max((s + 1 for _, s in bins), default=0)))
-    np.add.at(table[0], (slice(None), [index[a, b + c] for (a, b, c), _ in terms],
-                         [b for (_, b, _), _ in terms]), np.array([comps for _, comps in terms]).T)
-    powers = grid_powers(x0, rho, phi, max(map(max, bins), default=0))
-    return np.moveaxis(eval_bins(table, bins, powers)[0], 0, -1)
 
 
 X0 = MPoly.variable(0)

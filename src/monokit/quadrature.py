@@ -1,4 +1,4 @@
-"""Quadrature on the unit sphere and ball, float inner products, Fourier analysis.
+"""Quadrature on the unit sphere and ball, the float kernel, Fourier analysis.
 
 The sphere rule is tensor Gauss-Legendre in t = cos(theta) crossed with a
 uniform midpoint grid in phi.  For integrands that are polynomials on the
@@ -13,16 +13,17 @@ this module is binary64; the exact counterparts live in the moments module
 and are used by the tests to pin these numbers down, as are the pairwise
 quadrature products in tests/reference_routes.py.
 
-Every float inner product between basis elements reads one memoized
-sample array (basis_samples) and reduces it over the nodes with a single
-np.einsum, without BLAS, so repeated runs produce byte-identical results.
-The quaternion sphere Gram (sphere_gram) is one such reduction per degree;
-its scalar part is the real Gram.
-Each degree block is one padded table (block_table) with an element axis:
-basis_samples evaluates it with mpoly.eval_bins in one call, and synthesis
-(block_values) first folds its elements into one coefficient per monomial
-by one einsum.  The rule grid stays factored: t and sqrt(1 - t^2) columns,
-a phi row.
+Floats are evaluated at (x0, rho, phi), x1 = rho cos phi, x2 = rho sin phi, by
+one kernel, eval_bins, on padded tables binned by the x0 and rho powers (x0^a
+x1^b x2^c is x0^a rho^(b+c) cos^b sin^c).  One builder, bin_table, lays every
+table out: eval_terms' for one term list, block_table's for one degree block of
+the basis, which basis_samples evaluates in one call and block_values folds into
+one coefficient per monomial.  Float inner products of basis elements reduce the
+memoized basis_samples by np.einsum without BLAS, so reruns are byte-identical;
+sphere_gram takes all component pairs at once, and its scalar part is the real Gram.
+
+>>> eval_terms([((1, 0, 0), (2.0, 0.0, 0.0, 0.0))], 0.5, 0.0, 0.0)
+array([1., 0., 0., 0.])
 """
 
 from __future__ import annotations
@@ -34,8 +35,80 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import basis_elements, basis_for_degree, degree_indices
-from .mpoly import MPoly, eval_bins, eval_terms, grid_powers
+from .mpoly import MPoly
 from .quaternion import E1, E2, E3, ONE
+
+
+def _powers(v: np.ndarray, top: int) -> np.ndarray:
+    """v^0 .. v^top by repeated multiplication, stacked on a new first axis, read-only."""
+    table = np.empty((top + 1,) + v.shape)
+    table[0] = 1.0
+    for k in range(1, top + 1):
+        # table[k, ...] stays an array view when v is 0-d; table[k] would not
+        np.multiply(table[k - 1], v, out=table[k, ...])
+    table.flags.writeable = False
+    return table
+
+
+def grid_powers(x0, rho, phi, top: int) -> tuple[np.ndarray, ...]:
+    """x0^k, rho^k on their broadcast shape and cos^k, sin^k of phi on its shape, k = 0..top."""
+    x0, rho = np.broadcast_arrays(np.asarray(x0, dtype=float), np.asarray(rho, dtype=float))
+    return tuple(_powers(v, top) for v in (x0, rho, np.cos(phi), np.sin(phi)))
+
+
+def eval_bins(table, bins, powers) -> np.ndarray:
+    """The float kernel: E tables of bin_table at the points of powers (grid_powers); (E, 4) + grid.
+
+    Rows comps * cos^b * sin^(s-b) are summed slot by slot from zero in ascending b; each live
+    (e, k) is then one einsum (no BLAS) over the bins, in order, with the columns x0^a rho^s.
+    """
+    x0_pow, rho_pow, cos_pow, sin_pow = powers
+    a, s = np.asarray(bins, dtype=int).reshape(-1, 2).T
+    live = table.any(axis=(2, 3))
+    comps = np.flatnonzero(live.any(axis=0))
+    coeffs = table[:, comps][(...,) + (None,) * (cos_pow.ndim - 1)]  # onto the phi shape
+    rows = np.zeros(coeffs.shape[:3] + cos_pow.shape[1:])
+    term = np.empty_like(rows)  # one buffer for the products of every slot
+    for b in range(table.shape[3]):
+        np.multiply(coeffs[:, :, :, b], cos_pow[b], out=term)
+        rows += np.multiply(term, sin_pow[np.maximum(s - b, 0)], out=term)
+    radial = x0_pow[a] * rho_pow[s]
+    out = np.empty(table.shape[:2] + np.broadcast_shapes(radial.shape[1:], cos_pow.shape[1:]))
+    out[~live] = 0.0  # einsum zeroes the live ones before it adds
+    for e, i in zip(*np.nonzero(live[:, comps])):
+        # out[e, k, ...] stays an array view when the points are 0-d; out[e, k] would not
+        np.einsum("b...,b...->...", radial, rows[e, i], out=out[e, comps[i], ...])
+    return out
+
+
+def bin_table(term_lists) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """eval_bins' padded table and bins for E lists of (exponent, 4 floats) terms, each read once.
+
+    table[e, k, i, b] is component k of list e on x0^a rho^s cos^b sin^(s-b), (a, s) = bins[i]:
+    bins are the sorted (a, b+c) pairs present, b > s is zero padding, and repeated exponents add.
+    """
+    exps, values, ends = [], [], []
+    for terms in term_lists:
+        for exp, comps in terms:
+            exps.extend(exp)
+            values.extend(comps)  # += would broadcast an ndarray of comps
+        ends.append(len(values) // 4)
+    a, b, c = np.array(exps, dtype=int).reshape(-1, 3).T
+    element = np.repeat(np.arange(len(ends)), [j - i for i, j in zip([0] + ends, ends)])
+    width = int((b + c).max(initial=-1)) + 1
+    keys = a * width + b + c  # these sort as the (a, s) pairs
+    bins = sorted(set(keys.tolist()))
+    table = np.zeros((len(ends), 4, len(bins), width))
+    np.add.at(table, (element, slice(None), np.searchsorted(bins, keys), b),
+              np.array(values, dtype=float).reshape(-1, 4))
+    return table, tuple(divmod(key, width) for key in bins)
+
+
+def eval_terms(terms, x0, rho, phi) -> np.ndarray:
+    """(exponent, 4 floats) terms in any order at x1 = rho cos phi, x2 = rho sin phi; grid+(4,)."""
+    table, bins = bin_table([terms])
+    powers = grid_powers(x0, rho, phi, max(map(max, bins), default=0))
+    return np.moveaxis(eval_bins(table, bins, powers)[0], 0, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,22 +239,18 @@ def fourier_expand(f: MPoly, max_degree: int, rule: QuadratureRule) -> FourierCo
 
 @lru_cache(maxsize=None)
 def block_table(n: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
-    """The degree-n block as eval_bins' table and bins, shared; the table is read-only.
+    """The bin_table of the degree-n elements (degree_indices(n) order), shared, read-only.
 
-    table[i, k, a, b] is component k of element i (degree_indices(n) order) on
-    x0^a x1^b x2^(n-a-b), zero for b > n - a, so bin a is (a, n - a).  The table
-    is (2n+3, 4, n+1, n+1), under 50 KB at n = 8.
+    Each block holds all n+1 powers of x0 (tested through n = 16), so bin a is (a, n - a)
+    and the table is (2n+3, 4, n+1, n+1), under 50 KB at n = 8.
     """
-    table = np.zeros((2 * n + 3, 4, n + 1, n + 1))
-    for i, e in enumerate(basis_for_degree(n)):
-        for (a, b, _), comps in e.poly.float_terms():
-            table[i, :, a, b] = comps
+    table, bins = bin_table(e.poly.float_terms() for e in basis_for_degree(n))
     table.flags.writeable = False
-    return table, tuple((a, n - a) for a in range(n + 1))
+    return table, bins
 
 
 def block_values(coeffs: FourierCoeffs, n: int, powers) -> np.ndarray:
-    """Block n of the series at the points of powers (mpoly.grid_powers), shape (4,) + grid.
+    """Block n of the series at the points of powers (grid_powers), shape (4,) + grid.
 
     One einsum (no BLAS) contracts the weights sqrt(2n+3) alpha / norm_S with block_table.
     """

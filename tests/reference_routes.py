@@ -5,10 +5,12 @@ benchmark run; every independent route that the tests compare it against
 lives here.
 
 block_terms folds one degree block of a Fourier series into one float
-coefficient per monomial of the block; eval_terms then evaluates that term
-list as one polynomial.  quadrature.block_values contracts the same weights
-with the padded block table instead and evaluates it with eval_bins.
-sphere_grid(65, 128) is the grid of bohr.empirical_bohr_sum.
+coefficient per monomial of the block; quadrature.eval_terms then evaluates
+that term list as one polynomial.  quadrature.block_values contracts the same
+weights with the padded block table instead and evaluates it with eval_bins.
+block_table_loop fills that table term by term, the reference of
+quadrature.bin_table.  sphere_grid(65, 128) is the grid of
+bohr.empirical_bohr_sum.
 
 printed_axial_expansion and printed_taylor_sums transcribe the printed
 beta_{n+1,l,k} formulas verbatim: the component-wise axial expansion of
@@ -38,8 +40,9 @@ from monokit.basis import (_radius_sq_power, basis_for_degree, beta_table, compl
 from monokit.fueter import fueter_power
 from monokit.legendre import assoc_body, double_factorial
 from monokit.moments import _numerator, ball_moment, sphere_moment
-from monokit.mpoly import MPoly, X0, eval_terms
-from monokit.quadrature import _CONJ_TABLE, QuadratureRule, radial_moment, sphere_norms
+from monokit.mpoly import MPoly, X0
+from monokit.quadrature import (_CONJ_TABLE, QuadratureRule, eval_terms, radial_moment,
+                                sphere_norms)
 from monokit.quaternion import Quaternion, Rational, frac
 
 Point3 = tuple[Fraction, Fraction, Fraction]
@@ -54,6 +57,15 @@ def block_terms(n, alphas):
     scale = np.asarray(alphas, dtype=float) * math.sqrt(2 * n + 3)
     scale = scale / sphere_norms(elements)
     return list(zip(exps, np.einsum("i,imc->mc", scale, table)))
+
+
+def block_table_loop(n):
+    """quadrature.block_table(n) as (table, bins), filled one term at a time into a fresh table."""
+    table = np.zeros((2 * n + 3, 4, n + 1, n + 1))
+    for i, e in enumerate(basis_for_degree(n)):
+        for (a, b, _), comps in e.poly.float_terms():
+            table[i, :, a, b] = comps
+    return table, tuple((a, n - a) for a in range(n + 1))
 
 
 def sphere_grid(n_theta, n_phi):

@@ -14,9 +14,8 @@ from monokit.bohr import (bohr_radius, coefficient_domination, empirical_bohr_su
                           verify_corollary_bounds, verify_pointwise_bounds,
                           verify_sc_ratio_lemmas, verify_scalar_part_bounds)
 from monokit.moments import norm_sq_sphere
-from monokit.mpoly import eval_terms
-from monokit.quadrature import (FourierCoeffs, QuadratureRule, block_values, fourier_expand,
-                                fourier_synthesize)
+from monokit.quadrature import (FourierCoeffs, QuadratureRule, block_values, eval_terms,
+                                fourier_expand, fourier_synthesize)
 from reference_routes import (assoc_legendre_float, block_terms, eval_grid,
                               series_f1_threshold_truncated, series_f2_threshold_truncated,
                               series_s1_truncated, series_s2_truncated, sphere_grid)

@@ -1,15 +1,18 @@
 """The integer polynomial product kernel against the term-by-term Quaternion loop,
-and the canonical integer form every MPoly is stored in."""
+the canonical integer form every MPoly is stored in, and an exact layer free of NumPy."""
 
+import ast
 import doctest
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import monokit.legendre
 import monokit.mpoly
+import monokit.quadrature
 import monokit.quaternion
 from monokit.basis import basis_for_degree, solid_harmonic
 from monokit.fueter import fueter_power, taylor_coefficients, taylor_reconstruct
@@ -170,11 +173,40 @@ def test_taylor_reconstruct_matches_the_additive_loop():
             assert taylor_reconstruct(tc) == want == element.poly
 
 
-@pytest.mark.parametrize("module", [monokit.mpoly, monokit.quaternion, monokit.legendre])
+@pytest.mark.parametrize("module", [monokit.mpoly, monokit.quaternion, monokit.legendre,
+                                    monokit.quadrature])
 def test_doctests_pass(module):
     result = doctest.testmod(module)
     assert result.failed == 0
     assert result.attempted > 0
+
+
+def _imports(name):
+    """Modules that monokit.<name> imports, package modules as 'monokit.<module>'."""
+    tree = ast.parse((Path(monokit.mpoly.__file__).parent / f"{name}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:  # from .x import y; from . import x
+            yield from ([f"monokit.{node.module}"] if node.module else
+                        [f"monokit.{alias.name}" for alias in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module
+
+
+@pytest.mark.parametrize("name", ["quaternion", "mpoly", "legendre", "moments", "basis", "fueter"])
+def test_the_exact_layer_imports_no_numpy(name):
+    # the modules name reaches through its package imports, itself included
+    reached, todo = set(), [f"monokit.{name}"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            imports = set(_imports(module.removeprefix("monokit.")))
+            assert not {m for m in imports if m.split(".")[0] == "numpy"}, f"{module} imports numpy"
+            todo += [m for m in imports if m.startswith("monokit.")]
+    float_layer = {"monokit.quadrature", "monokit.bohr", "monokit.report", "monokit.cli"}
+    assert not reached & float_layer, f"monokit.{name} reaches {sorted(reached & float_layer)}"
 
 
 def test_public_names_resolve():

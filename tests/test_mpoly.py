@@ -8,7 +8,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from monokit.mpoly import MPoly, X0, X1, X2, Z1, Z2, eval_terms
+from monokit.mpoly import MPoly, X0, X1, X2, Z1, Z2
+from monokit.quadrature import eval_terms
 from monokit.quaternion import E1, E2, Quaternion, parse_frac_str
 from reference_routes import block_terms, eval_grid, evaluate, point, sphere_grid
 
@@ -149,7 +150,10 @@ def test_eval_terms_does_not_depend_on_term_order():
     rng = np.random.default_rng(11)
     x0, x1, x2 = rng.uniform(-1.0, 1.0, size=(3, 300))
     points = (x0, np.hypot(x1, x2), np.arctan2(x2, x1))
-    for terms in _term_lists():
+    # a repeated exponent adds, so reversing its two terms must not change the sum
+    repeated = [((2, 1, 0), (1.5, -2.0, 0.0, 0.25)), ((0, 0, 3), (0.5, 0.5, 1.0, -1.0)),
+                ((2, 1, 0), (0.125, 3.0, -1.0, 0.0))]
+    for terms in _term_lists() + (repeated,):
         for at in (sphere_grid(65, 128), points):
             assert np.array_equal(eval_terms(terms, *at), eval_terms(reversed(terms), *at))
 

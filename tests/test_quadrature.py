@@ -9,12 +9,13 @@ import pytest
 from monokit.basis import basis_elements, basis_for_degree
 from monokit.bohr import _bohr_grid_powers
 from monokit.moments import inner_sphere, sphere_moment
-from monokit.mpoly import MPoly, X0, X1, X2, eval_terms
+from monokit.mpoly import MPoly, X0, X1, X2
 from monokit.quadrature import (FourierCoeffs, QuadratureRule, basis_samples,
-                                block_table, fourier_expand, fourier_synthesize, gram_matrix_ball,
-                                gram_matrix_quaternion, radial_moment, sphere_gram, sphere_norms)
-from reference_routes import (eval_grid, inner_ball_h, inner_product_B, inner_product_S,
-                              inner_sphere_h, sc_inner_product_S)
+                                block_table, eval_terms, fourier_expand, fourier_synthesize,
+                                gram_matrix_ball, gram_matrix_quaternion, radial_moment,
+                                sphere_gram, sphere_norms)
+from reference_routes import (block_table_loop, eval_grid, inner_ball_h, inner_product_B,
+                              inner_product_S, inner_sphere_h, sc_inner_product_S)
 
 
 def test_weight_total_is_sphere_area():
@@ -137,6 +138,16 @@ def test_basis_samples_equal_the_per_element_route_bit_for_bit():
         samples = basis_samples(rule, 8)
         assert samples.shape == reference.shape
         assert samples.tobytes() == reference.tobytes()  # -0.0 and 0.0 differ here
+
+
+def test_block_table_equals_the_term_loop_bit_for_bit():
+    # every block through degree 16 holds all n+1 powers of x0, so the bins are (a, n - a)
+    for n in range(17):
+        table, bins = block_table(n)
+        want, want_bins = block_table_loop(n)
+        assert repr(bins) == repr(want_bins)  # equal, and plain ints rather than NumPy ints
+        assert table.shape == want.shape and table.dtype == want.dtype
+        assert table.tobytes() == want.tobytes()
 
 
 def test_one_read_only_rule_per_degree():
