@@ -11,9 +11,11 @@ Subcommands:
 Machine-readable output goes to stdout (or --output); PASS/FAIL summary
 lines go to stderr, from one table, report.SECTIONS, for `check` and
 `report` alike; `check` runs the gram row and the --bounds families it names,
-each once, in flag order.  Identical (command, flags) produce identical
-output bytes.  Exit status: 0 all invoked checks pass, 1 a check failed,
-2 configuration error (an unwritable --output or --golden-dir included).
+each once, in flag order.  The float checks and `bohr`'s residuals read the
+fixed report.TOLERANCE (1e-10); no flag sets it.  Identical (command, flags)
+produce identical output bytes.  Exit status: 0 all invoked checks pass,
+1 a check failed, 2 configuration error (an unwritable --output or
+--golden-dir included).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -145,8 +146,8 @@ def cmd_check(args) -> int:
     names = (["gram"] if args.gram else []) + args.bounds  # none asked for: every row
     rows = [CHECK_SECTIONS[name] for name in dict.fromkeys(names or CHECK_SECTIONS)]
     config = {"max_degree": args.max_degree}
-    if CHECK_SECTIONS["gram"] in rows:  # the one row that reads the tolerance
-        config["tolerance"] = args.tolerance
+    if CHECK_SECTIONS["gram"] in rows:  # the one row with a tolerance
+        config["tolerance"] = report_mod.TOLERANCE
     doc = report_mod.build_sections(
         {"schema": report_mod.SCHEMA, "command": "check", "config": config}, rows, config)
     status = report_mod.section_status(doc, rows)
@@ -202,9 +203,9 @@ def cmd_bohr(args) -> int:
     report = bohr_mod.bohr_radius(extra_radii=args.at)
     residual_1 = abs(bohr_mod.series_s1(report.r1) - 1.0)
     residual_2 = abs(bohr_mod.series_s2(report.r2) - 1.0)
-    ok = max(residual_1, residual_2) < args.tolerance
+    ok = max(residual_1, residual_2) < report_mod.TOLERANCE
     doc = {"schema": report_mod.SCHEMA, "command": "bohr",
-           "config": {"tolerance": args.tolerance},
+           "config": {"tolerance": report_mod.TOLERANCE},
            **report.to_json_dict(),
            "residuals": {"S1_at_r1": residual_1, "S2_at_r2": residual_2},
            "passed": ok}
@@ -236,8 +237,8 @@ def cmd_report(args) -> int:
               "golden_dir": str(golden), "max_degree": args.max_degree,
               "files": ["axial_closed_forms.json", "taylor_closed_forms.json"]}, args)
         return EXIT_OK
-    doc = report_mod.build_report(max_degree=args.max_degree, tolerance=args.tolerance,
-                                  seed=args.seed, bohr_functions=args.functions)
+    doc = report_mod.build_report(max_degree=args.max_degree, seed=args.seed,
+                                  bohr_functions=args.functions)
     doc["command"] = "report"
     for name, ok, detail in report_mod.section_status(doc, report_mod.SECTIONS):
         status_line(ok, name, detail)
@@ -258,9 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default json)")
     common.add_argument("--output", metavar="PATH", default=None,
                         help="write the document here instead of stdout")
-    checking = argparse.ArgumentParser(add_help=False, parents=[common])
-    checking.add_argument("--tolerance", type=float, default=1e-10,
-                          help="numeric acceptance tolerance (default 1e-10)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("basis", parents=[common],
@@ -268,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(fn=cmd_basis)
 
-    p = sub.add_parser("check", parents=[checking],
+    p = sub.add_parser("check", parents=[common],
                        help="Gram identity and/or inequality sweeps")
     p.add_argument("--gram", action="store_true", help="check the ball Gram matrix")
     p.add_argument("--bounds", action="append", default=[],
@@ -290,13 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=None)
     p.set_defaults(fn=cmd_fourier)
 
-    p = sub.add_parser("bohr", parents=[checking],
+    p = sub.add_parser("bohr", parents=[common],
                        help="series thresholds and margins")
     p.add_argument("--at", type=float, action="append", default=[],
                    metavar="R", help="extra radius to tabulate (repeatable)")
     p.set_defaults(fn=cmd_bohr)
 
-    p = sub.add_parser("report", parents=[checking],
+    p = sub.add_parser("report", parents=[common],
                        help="full verification document")
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--functions", type=int, default=100,
@@ -313,9 +311,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # options several subcommands share; an infinite tolerance passes every check
-        if "tolerance" in args and not (math.isfinite(args.tolerance) and args.tolerance > 0):
-            raise ConfigError("--tolerance must be finite and > 0")
         if args.output:
             parent = Path(args.output).parent
             if not (parent.is_dir() and os.access(parent, os.W_OK)):

@@ -272,7 +272,8 @@ class MPoly:
     def float_terms(self) -> list[tuple[Exponent, tuple[float, ...]]]:
         """Sorted (exponent, 4 floats) terms, the input of quadrature.eval_terms."""
         den = self.den  # int / int rounds correctly, as float(Fraction) does
-        return [(e, tuple(x / den for x in comps)) for e, comps in sorted(self.ints.items())]
+        return [(e, (a / den, b / den, c / den, d / den))
+                for e, (a, b, c, d) in sorted(self.ints.items())]
 
     def to_json_dict(self) -> dict:
         return {"terms": [{"e": list(exp), "c": coeff.to_strings()}

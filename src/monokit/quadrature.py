@@ -276,17 +276,12 @@ def sphere_gram(max_degree: int) -> np.ndarray:
     once; the pairwise products over the nodes are never stored.  Component 0
     is the real Gram.  Memoized per degree and shared, so read-only.
     """
-    gram = _quaternion_gram(max_degree)
+    rule = QuadratureRule.for_degree(2 * max_degree)
+    samples = basis_samples(rule, max_degree)
+    pairs = np.einsum("itpa,jtpb,tp->ijab", samples, samples, rule.node_weights())
+    gram = np.einsum("ijab,abk->ijk", pairs, _CONJ_TABLE)
     gram.flags.writeable = False
     return gram
-
-
-def _quaternion_gram(max_degree: int, first: int = 0) -> np.ndarray:
-    """The node reduction of sphere_gram over the elements from index first on."""
-    rule = QuadratureRule.for_degree(2 * max_degree)
-    samples = basis_samples(rule, max_degree)[first:]
-    pairs = np.einsum("itpa,jtpb,tp->ijab", samples, samples, rule.node_weights())
-    return np.einsum("ijab,abk->ijk", pairs, _CONJ_TABLE)
 
 
 def gram_matrix_ball(max_degree: int) -> np.ndarray:
@@ -311,4 +306,4 @@ def gram_matrix_quaternion(n: int) -> np.ndarray:
     parts.  Reported for inspection, never asserted diagonal.
     """
     norms = sphere_norms(basis_for_degree(n))  # the degree-n elements come last
-    return _quaternion_gram(n, -len(norms)) / np.outer(norms, norms)[..., None]
+    return sphere_gram(n)[-len(norms):, -len(norms):] / np.outer(norms, norms)[..., None]

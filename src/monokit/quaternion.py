@@ -49,11 +49,6 @@ def parse_frac_parts(text) -> tuple[int, int]:
     return p // g, q // g
 
 
-def parse_frac_str(text) -> Fraction:
-    """Inverse of frac_str: exactly 'p/q' with integers p and q > 0."""
-    return Fraction(*parse_frac_parts(text))
-
-
 def parse_components(items) -> list[tuple[int, int]]:
     """The wire form of a quaternion, a list of 4 'p/q' strings, as 4 (p, q) pairs."""
     if not isinstance(items, list) or len(items) != 4:
@@ -172,10 +167,6 @@ class Quaternion:
 
     def to_strings(self) -> list[str]:
         return [frac_str(comp) for comp in self.components()]
-
-    @classmethod
-    def from_strings(cls, items) -> Quaternion:
-        return cls(*[Fraction(p, q) for p, q in parse_components(items)])
 
 
 def reduced(a: Union[Rational, str] = 0, b: Union[Rational, str] = 0,

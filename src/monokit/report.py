@@ -2,9 +2,11 @@
 
 Everything here reduces to a plain dict (JSON-ready, schema-tagged,
 seed and tolerance recorded, no timestamps) so the command line can emit
-it unchanged and tests can compare it structurally.  SECTIONS is the one
-table of the checks that decide pass or fail: build_report builds every row,
-`monokit check` the rows it is asked for, and both print section_status.
+it unchanged and tests can compare it structurally.  The float checks all
+read one fixed TOLERANCE; a caller chooses what is checked, never how
+strictly.  SECTIONS is the one table of the checks that decide pass or fail:
+build_report builds every row, `monokit check` the rows it is asked for, and
+both print section_status.
 The two closed-form agreement tables share one generator,
 basis.axial_closed_form: the axial table compares the whole polynomial, the
 Taylor table its x0-free coefficients.
@@ -27,6 +29,9 @@ from .quadrature import (QuadratureRule, basis_samples, gram_matrix_ball, radial
 
 SCHEMA = "monogenics-kit/1"
 
+# the bound of every float check: gram, ball_sphere_relation, norms and `bohr`
+TOLERANCE = 1e-10
+
 # One row per section that decides pass or fail, in report order: (dotted path,
 # stderr detail format over the section's keys, whether `check` runs it,
 # builder).  A builder takes the run's config (build_report's keywords) and
@@ -36,12 +41,12 @@ SECTIONS = (
     ("monogenicity", "{elements} elements, failures {failures}", False,
      lambda c: check_monogenicity(c["max_degree"])),
     ("gram", "max deviation {max_deviation:.3e} vs {tolerance:.0e}", True,
-     lambda c: check_gram(c["max_degree"], c["tolerance"])),
+     lambda c: check_gram(c["max_degree"])),
     ("ball_sphere_relation", "max relative error {max_relative_error:.3e} vs {tolerance:.0e}",
-     False, lambda c: check_ball_sphere_relation(c["max_degree"], c["tolerance"])),
+     False, lambda c: check_ball_sphere_relation(c["max_degree"])),
     ("norms", "relative errors sphere {sphere_norm_rel_error:.3e}, scalar"
      " {scalar_norm_rel_error:.3e}, constants {constants_scalar_norm_rel_error:.3e}"
-     " vs {tolerance:.0e}", False, lambda c: check_norms(c["max_degree"], c["tolerance"])),
+     " vs {tolerance:.0e}", False, lambda c: check_norms(c["max_degree"])),
     ("taylor", "round trip exact {round_trip_exact}, permutation oracle match"
      " {permutation_oracle_match}", False, lambda c: check_taylor(c["max_degree"])),
     ("bounds.corollary", _RATIO, True,
@@ -99,7 +104,7 @@ def check_monogenicity(max_degree: int) -> dict:
     }
 
 
-def check_gram(max_degree: int, tolerance: float) -> dict:
+def check_gram(max_degree: int) -> dict:
     """Ball Gram of the normalized system vs the identity, quadrature route."""
     gram = gram_matrix_ball(max_degree)
     deviation = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
@@ -107,12 +112,12 @@ def check_gram(max_degree: int, tolerance: float) -> dict:
         "max_degree": max_degree,
         "size": gram.shape[0],
         "max_deviation": deviation,
-        "tolerance": tolerance,
-        "passed": deviation < tolerance,
+        "tolerance": TOLERANCE,
+        "passed": deviation < TOLERANCE,
     }
 
 
-def check_ball_sphere_relation(max_degree: int, tolerance: float) -> dict:
+def check_ball_sphere_relation(max_degree: int) -> dict:
     """Ball inner products equal sphere ones over (2n+3) on the diagonal blocks.
 
     Quaternion-valued products on both sides, the ball side integrated with
@@ -130,12 +135,12 @@ def check_ball_sphere_relation(max_degree: int, tolerance: float) -> dict:
     return {
         "max_degree": max_degree,
         "max_relative_error": worst,
-        "tolerance": tolerance,
-        "passed": worst < tolerance,
+        "tolerance": TOLERANCE,
+        "passed": worst < TOLERANCE,
     }
 
 
-def check_norms(max_degree: int, tolerance: float) -> dict:
+def check_norms(max_degree: int) -> dict:
     """Quadrature norms against every closed form, worst relative error each.
 
     One node reduction gives the squared norm of each component of every
@@ -168,8 +173,8 @@ def check_norms(max_degree: int, tolerance: float) -> dict:
         "scalar_norm_rel_error": sc_worst,
         "constants_scalar_norm_rel_error": const_worst,
         "constants_degree_range": [1, max_degree],
-        "tolerance": tolerance,
-        "passed": max(sphere_worst, sc_worst, const_worst) < tolerance,
+        "tolerance": TOLERANCE,
+        "passed": max(sphere_worst, sc_worst, const_worst) < TOLERANCE,
     }
 
 
@@ -243,17 +248,17 @@ def taylor_agreement(max_degree: int) -> dict:
 # -- top-level document -----------------------------------------------------------
 
 
-def build_report(max_degree: int = 6, tolerance: float = 1e-10, seed: int = 0,
-                 bohr_functions: int = 100) -> dict:
+def build_report(max_degree: int = 6, seed: int = 0, bohr_functions: int = 100) -> dict:
     """One document covering every verification the package makes.
 
     Schema and config, then every SECTIONS row in order, then the parts that
     decide nothing: the radius, margins and note under bohr, and the two
     closed-form tables; passed and failed_sections close it.  Every section
-    reads degrees 0..max_degree; the constants norms start at 1, where their
-    closed form holds.
+    but bohr.empirical reads degrees 0..max_degree; the constants norms start
+    at 1, where their closed form holds, and the empirical sweep draws its test
+    functions through degree 5 whatever max_degree is.
     """
-    config = {"max_degree": max_degree, "tolerance": tolerance, "seed": seed,
+    config = {"max_degree": max_degree, "tolerance": TOLERANCE, "seed": seed,
               "bohr_functions": bohr_functions}
     doc = build_sections({"schema": SCHEMA, "config": config}, SECTIONS, config)
     # "bohr" already holds the empirical sweep; re-assigning keeps its place

@@ -19,8 +19,8 @@ from monokit.bohr import (bohr_radius, empirical_bohr_sweep, pointwise_polynomia
 from monokit.moments import norm_sq_sphere
 from monokit.quadrature import gram_matrix_ball
 from monokit.quaternion import E1
-from monokit.report import (axial_agreement, check_ball_sphere_relation, check_norms,
-                            check_taylor, taylor_agreement)
+from monokit.report import (TOLERANCE, axial_agreement, check_ball_sphere_relation,
+                            check_norms, check_taylor, taylor_agreement)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -61,18 +61,19 @@ def test_criterion_2_orthonormal_gram():
 
 
 def test_criterion_3_ball_sphere_relation():
-    out = check_ball_sphere_relation(6, 1e-10)
-    emit(3, "ball product = sphere/(2n+3), diagonal blocks", out["passed"],
+    out = check_ball_sphere_relation(6)
+    ok = out["passed"] and out["tolerance"] == TOLERANCE == 1e-10
+    emit(3, "ball product = sphere/(2n+3), diagonal blocks", ok,
          f"max relative error {out['max_relative_error']:.3e} < 1e-10")
 
 
 def test_criterion_4_norm_closed_forms():
-    out = check_norms(8, 1e-10)
+    out = check_norms(8)
     worst = max(out["sphere_norm_rel_error"], out["scalar_norm_rel_error"],
                 out["constants_scalar_norm_rel_error"])
     x0 = norm_sq_sphere((spherical_monogenic(0, "X", 1).poly * E1).sc())
     y0 = norm_sq_sphere((spherical_monogenic(0, "Y", 1).poly * E1).sc())
-    ok = out["passed"] and x0 == 1 and y0 == 0
+    ok = out["passed"] and out["tolerance"] == TOLERANCE == 1e-10 and x0 == 1 and y0 == 0
     emit(4, "norm closed forms (sphere n<=8, Sc n<=8, constants n in 1..8)", ok,
          f"worst relative error {worst:.3e} < 1e-10; degree-0 exception pinned")
 

@@ -50,8 +50,8 @@ def test_check_gram(capsys):
 def test_check_records_the_tolerance_only_when_the_gram_row_runs(capsys):
     _, out, _ = run(capsys, "check", "--bounds", "sc", "--max-degree", "3")
     assert "tolerance" not in json.loads(out)["config"]
-    _, out, _ = run(capsys, "check", "--gram", "--max-degree", "2", "--tolerance", "1e-9")
-    assert json.loads(out)["config"]["tolerance"] == 1e-9
+    _, out, _ = run(capsys, "check", "--gram", "--max-degree", "2")
+    assert json.loads(out)["config"]["tolerance"] == 1e-10
 
 
 def test_check_bounds_subset(capsys):
@@ -88,9 +88,9 @@ def test_check_runs_a_repeated_family_once(capsys, monkeypatch):
 
 
 def test_a_failing_section_fails_report_and_check_alike(capsys, monkeypatch, tmp_path):
-    def failing_gram(max_degree, tolerance):
+    def failing_gram(max_degree):
         return {"max_degree": max_degree, "size": 0, "max_deviation": 0.5,
-                "tolerance": tolerance, "passed": False}
+                "tolerance": 1e-10, "passed": False}
 
     monkeypatch.setattr(monokit.report, "check_gram", failing_gram)
     line = "FAIL gram: max deviation 5.000e-01 vs 1e-10"
@@ -125,7 +125,7 @@ def test_a_failing_section_fails_report_and_check_alike(capsys, monkeypatch, tmp
 def test_a_failing_row_names_its_observed_and_allowed_values(capsys, monkeypatch, tmp_path,
                                                             name, section, line):
     # the allowed value of a flag row is True (no failures); the others print their tolerance
-    monkeypatch.setattr(monokit.report, f"check_{name}", lambda *args: section)
+    monkeypatch.setattr(monokit.report, f"check_{name}", lambda max_degree: section)
     code, _, err = run(capsys, "report", "--max-degree", "1", "--functions", "2",
                        "--output", str(tmp_path / "r.json"))
     assert code == 1
@@ -202,12 +202,6 @@ def _monomial(degree: int) -> str:
     (["report", "--functions", "0"], None),
     (["report", "--functions", "-2"], None),
     (["report", "--seed", "-1"], None),
-    (["bohr", "--tolerance", "0"], None),
-    (["bohr", "--tolerance", "nan"], None),
-    (["check", "--tolerance", "0"], None),
-    (["check", "--gram", "--tolerance", "inf"], None),
-    (["bohr", "--tolerance", "inf"], None),
-    (["report", "--tolerance", "inf"], None),
     (["fourier"], "[" * 100_000),
     (["fourier"], _monomial(MAX_INPUT_DEGREE + 1)),
     (["fourier", "--max-degree", str(MAX_INPUT_DEGREE + 1)], _monomial(1)),
@@ -216,9 +210,7 @@ def _monomial(degree: int) -> str:
     (["report", "--golden-dir", "TMP/file/sub"], None),
     (["check", "--bounds", "sc", "--max-degree", "3", "--output", "TMP/missing/x.json"], None),
 ], ids=["functions-0", "functions-negative",
-        "report-seed-negative", "bohr-tolerance-0",
-        "bohr-tolerance-nan", "check-tolerance-0", "check-tolerance-inf",
-        "bohr-tolerance-inf", "report-tolerance-inf", "deeply-nested-json",
+        "report-seed-negative", "deeply-nested-json",
         "input-degree-over-cap", "max-degree-over-cap", "output-under-a-file",
         "output-in-missing-dir", "golden-dir-under-a-file", "check-output-in-missing-dir"])
 def test_malformed_input_exits_two(capsys, tmp_path, argv, input_text):
@@ -346,10 +338,15 @@ def test_report_refuses_the_removed_samples_flag(capsys):
 
 
 @pytest.mark.parametrize("argv", [["check", "--seed", "1"],
-                                  ["basis", "--degree", "0", "--tolerance", "1e-3"]],
-                         ids=["check-seed", "basis-tolerance"])
+                                  ["basis", "--degree", "0", "--tolerance", "1e-3"],
+                                  ["check", "--tolerance", "1e-9"],
+                                  ["bohr", "--tolerance", "1e-9"],
+                                  ["report", "--tolerance", "1e-9"]],
+                         ids=["check-seed", "basis-tolerance", "check-tolerance",
+                              "bohr-tolerance", "report-tolerance"])
 def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
-    # --seed is report's only; --tolerance is check's, bohr's and report's
+    # --seed is report's only; no subcommand has a --tolerance: every float check
+    # reads the fixed report.TOLERANCE
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

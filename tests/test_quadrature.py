@@ -10,7 +10,7 @@ from monokit.basis import basis_elements, basis_for_degree
 from monokit.bohr import _bohr_grid_powers
 from monokit.moments import inner_sphere, sphere_moment
 from monokit.mpoly import MPoly, X0, X1, X2
-from monokit.quadrature import (FourierCoeffs, QuadratureRule, basis_samples,
+from monokit.quadrature import (_CONJ_TABLE, FourierCoeffs, QuadratureRule, basis_samples,
                                 block_table, eval_terms, fourier_expand, fourier_synthesize,
                                 gram_matrix_ball, gram_matrix_quaternion, radial_moment,
                                 sphere_gram, sphere_norms)
@@ -101,9 +101,13 @@ def test_gram_matrix_quaternion_matches_pairwise_reference():
 
 
 def test_gram_matrix_quaternion_is_its_block_of_the_sphere_gram_bit_for_bit():
+    # the slice of the full reduction equals the reduction over the block alone
     for n in (1, 3, 6):
         norms = sphere_norms(basis_for_degree(n))
-        block = sphere_gram(n)[-len(norms):, -len(norms):] / np.outer(norms, norms)[..., None]
+        rule = QuadratureRule.for_degree(2 * n)
+        samples = basis_samples(rule, n)[-len(norms):]
+        pairs = np.einsum("itpa,jtpb,tp->ijab", samples, samples, rule.node_weights())
+        block = np.einsum("ijab,abk->ijk", pairs, _CONJ_TABLE) / np.outer(norms, norms)[..., None]
         assert np.array_equal(gram_matrix_quaternion(n), block)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from monokit.quaternion import (E1, E2, E3, ONE, Quaternion, ZERO, frac, frac_str,
-                                reduced)
+                                parse_components, reduced)
 
 
 def test_unit_table():
@@ -65,7 +65,7 @@ def test_string_round_trip():
     assert frac_str(Fraction(2)) == "2/1"
     p = Quaternion(Fraction(1, 3), 0, Fraction(-5, 2), 4)
     assert p.to_strings() == ["1/3", "0/1", "-5/2", "4/1"]
-    assert Quaternion.from_strings(p.to_strings()) == p
+    assert Quaternion(*(Fraction(*pq) for pq in parse_components(p.to_strings()))) == p
 
 
 def test_hash_and_bool():
