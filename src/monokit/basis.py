@@ -25,6 +25,7 @@ the variants are diff material only.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -57,10 +58,10 @@ class BasisIndex:
 
     @classmethod
     def parse(cls, n: int, label: str) -> BasisIndex:
-        kind, _, m = label.partition(":")
-        if not m:
+        match = re.fullmatch(r"([XY]):(0|[1-9][0-9]*)", label)
+        if not match:
             raise ValueError(f"index label must look like 'X:0' or 'Y:2', got {label!r}")
-        return cls(kind, n, int(m))
+        return cls(match[1], n, int(match[2]))
 
 
 @dataclass(frozen=True)
@@ -200,20 +201,6 @@ def sc_e1_norm_sq_closed(n: int) -> Fraction:
 # -- the axial closed-form variants (diff material, never canonical) ----------------
 
 
-def falling(x: int, count: int) -> int:
-    out = 1
-    for i in range(count):
-        out *= x - i
-    return out
-
-
-def rising(x: int, count: int) -> int:
-    out = 1
-    for i in range(count):
-        out *= x + i
-    return out
-
-
 BETA_VARIANTS = ("binomial-falling", "statement-rising", "proof-bare")
 
 
@@ -226,20 +213,23 @@ def beta_coefficient(n: int, l: int, k: int, variant: str) -> Fraction | None:
         l-1 factors; at l = 0 the symbol (x)_{-1} = 1/(x-1) is used, which is
         undefined at x = 1 (None is returned there).
     proof-bare: 2 times the falling factorial, no a_{n+1,k} at all.
+
+    beta_table asks only for x = n+1-2k >= l, where x(x-1)...(x-l+1) is
+    perm(x, l) and x(x+1)...(x+l-2) is perm(x+l-2, l-1).
     """
     x = n + 1 - 2 * k
     # a_{n+1,k}, the coefficient of t^x in P_(n+1)
     a = legendre_coeffs(n + 1)[x] if 0 <= 2 * k <= n + 1 else Fraction(0)
     if variant == "binomial-falling":
-        return a / 2 * falling(x, l)
+        return a / 2 * math.perm(x, l)
     if variant == "statement-rising":
         if l == 0:
             if x == 1:
                 return None
             return a / 2 / (x - 1)
-        return a / 2 * rising(x, l - 1)
+        return a / 2 * math.perm(x + l - 2, l - 1)
     if variant == "proof-bare":
-        return Fraction(2 * falling(x, l))
+        return Fraction(2 * math.perm(x, l))
     raise ValueError(f"unknown beta variant {variant!r}")
 
 

@@ -49,7 +49,8 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import (basis_elements, basis_for_degree, complex_power_parts,
-                    sc_e1_norm_sq_closed, solid_harmonic, spherical_monogenic)
+                    norm_sq_sphere_closed, sc_e1_norm_sq_closed, solid_harmonic,
+                    spherical_monogenic)
 from .fueter import taylor_coefficients
 from .legendre import double_factorial
 from .moments import norm_sq_sphere
@@ -192,10 +193,9 @@ def _sweep(proposition: str, degree_range: tuple[int, int], cases,
 
 
 def _bound_sq_over_pi(n: int, m: int, lead: int) -> Fraction:
-    """(lead sqrt(pi (n+1)/(2n+3)))^2 / pi, times (n+1+m)!/(2 (n+1-m)!) for m >= 1, exact:
-    the printed coefficient bound at lead = (n+1)!/gamma!, the pointwise one at (n+1) 2^n."""
-    orders = Fraction(math.factorial(n + 1 + m), 2 * math.factorial(n + 1 - m)) if m else 1
-    return lead ** 2 * Fraction(n + 1, 2 * n + 3) * orders
+    """lead^2 times the closed-form ball norm ||X^m_n||^2_B / pi, exact: the printed
+    coefficient bound at lead = (n+1)!/gamma!, the pointwise one at (n+1) 2^n."""
+    return lead ** 2 * norm_sq_sphere_closed(n, m) / (2 * n + 3)
 
 
 _PI_BELOW = Fraction(333, 106)  # < pi, so a bound with a factor pi is decided exactly

@@ -9,14 +9,18 @@ product
 with z1 = x1 - e1 x0 and z2 = x2 - e2 x0.  It is computed by the recursion
 on the last factor,
 
-    V_gamma = (g1/n) V_(g1-1,g2) z1 + (g2/n) V_(g1,g2-1) z2,
+    V_gamma = (g1/n) V_(g1-1,g2) z1 + (g2/n) V_(g1,g2-1) z2.
 
-which agrees with the literal permutation sum, kept here as the brute-force
-oracle of the report's taylor section.  The oracle multiplies out each of
-the C(n, g1) distinct words once, factor by factor: a word stands for the
-g1! g2! orders that put z1 at the same places, so the (1/n!) sum over
-orders is the mean over words.  A homogeneous monogenic polynomial of
-degree n is recovered exactly from its n+1 Taylor coefficients
+The report's taylor section checks that recursion against the definition
+by polarization.  A real s commutes with z1 and z2, and the words with g
+copies of z1 sum to C(n, g) V_(g, n-g), so for every real s
+
+    (z1 + s z2)^n = sum_g C(n, g) s^(n-g) V_(g, n-g).
+
+Both sides are polynomials of degree n in s, so equality at the n+1
+points s = 0..n decides every V of degree n (Vandermonde); no word is
+multiplied out.  A homogeneous monogenic polynomial of degree n is
+recovered exactly from its n+1 Taylor coefficients
 
     c_gamma = (1/(g1! g2!)) d^g1/dx1 d^g2/dx2 f at 0,
     f = sum_gamma V_gamma c_gamma   (coefficients on the right).
@@ -28,7 +32,6 @@ gives the printed Taylor closed forms, so they need no code here.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -51,17 +54,17 @@ def fueter_power(g1: int, g2: int) -> MPoly:
     return sum_of_products(pairs)
 
 
-def fueter_power_permutation_sum(g1: int, g2: int) -> MPoly:
-    """The (1/n!) sum over all n! factor orders, as the mean of the C(n, g1)
-    distinct words, each multiplied out literally; oracle, exponential cost."""
-    n = g1 + g2
-    total = MPoly.zero()
-    for z1_places in itertools.combinations(range(n), g1):
-        prod = MPoly.one()
-        for i in range(n):
-            prod = prod * (Z1 if i in z1_places else Z2)
-        total = total + prod
-    return total / math.comb(n, g1)
+def polarization_match(max_degree: int) -> bool:
+    """Every V of degree <= max_degree against the definition: for s = 0..max_degree,
+    each power (z1 + s z2)^n equals sum_g C(n, g) s^(n-g) V_(g, n-g)."""
+    for s in range(max_degree + 1):
+        power, step = MPoly.one(), Z1 + Z2 * s
+        for n in range(max_degree + 1):
+            if power != sum_of_products([(MPoly.scalar(math.comb(n, g) * s ** (n - g)),
+                                          fueter_power(g, n - g)) for g in range(n + 1)]):
+                return False
+            power = power * step
+    return True
 
 
 def taylor_coefficients(f: MPoly) -> dict[tuple[int, int], Quaternion]:

@@ -26,9 +26,12 @@ the real-product kernel of moments, and pair_real_product, that kernel's
 pair route alone, the reference of its Fischer route.  The Legendre residuals
 and norms check the identities of legendre.assoc_body, the truncated series
 and their bisection the closed-form Bohr thresholds, fueter_power_bound_check
-the modulus bound of the Fueter powers, and norm_sq_ball_closed the ball norms.
+the modulus bound of the Fueter powers, fueter_power_permutation_sum the
+Fueter powers as the literal mean over all words of their definition, and
+norm_sq_ball_closed the ball norms.
 """
 
+import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -40,7 +43,7 @@ from monokit.basis import (_radius_sq_power, basis_for_degree, beta_table, compl
 from monokit.fueter import fueter_power
 from monokit.legendre import assoc_body, double_factorial
 from monokit.moments import _numerator, ball_moment, sphere_moment
-from monokit.mpoly import MPoly, X0
+from monokit.mpoly import MPoly, X0, Z1, Z2
 from monokit.quadrature import (_CONJ_TABLE, QuadratureRule, eval_terms, radial_moment,
                                 sphere_norms)
 from monokit.quaternion import Quaternion, Rational, frac
@@ -433,3 +436,16 @@ def fueter_power_bound_check(g1: int, g2: int, points) -> float:
     values = eval_grid(fueter_power(g1, g2), pts[:, 0], pts[:, 1], pts[:, 2])
     moduli = np.sqrt((values ** 2).sum(axis=-1))
     return float(np.max(moduli / r ** n))
+
+
+def fueter_power_permutation_sum(g1: int, g2: int) -> MPoly:
+    """The (1/n!) sum over all n! factor orders, as the mean of the C(n, g1)
+    distinct words, each multiplied out literally; oracle, exponential cost."""
+    n = g1 + g2
+    total = MPoly.zero()
+    for z1_places in itertools.combinations(range(n), g1):
+        prod = MPoly.one()
+        for i in range(n):
+            prod = prod * (Z1 if i in z1_places else Z2)
+        total = total + prod
+    return total / math.comb(n, g1)

@@ -16,6 +16,7 @@ from monokit import basis, legendre
 from monokit.basis import basis_for_degree, spherical_monogenic
 from monokit.bohr import (bohr_radius, empirical_bohr_sweep, pointwise_polynomial_bound,
                           series_s1, verify_corollary_bounds, verify_pointwise_bounds)
+from monokit.fueter import fueter_power
 from monokit.moments import norm_sq_sphere
 from monokit.quadrature import gram_matrix_ball
 from monokit.quaternion import E1
@@ -87,6 +88,16 @@ def test_criterion_5_taylor_round_trip():
          f"round_trip_exact={out['round_trip_exact']},"
          f" oracle={out['permutation_oracle_match']} (rational equality),"
          f" {elapsed:.2f}s < 10s")
+
+
+def test_taylor_section_reaches_degree_16():
+    # the reach that the polarization oracle buys; a report test at degree 14
+    # would cost the suite about a second more
+    fueter_power.cache_clear()
+    start = time.perf_counter()
+    out = check_taylor(16)
+    elapsed = time.perf_counter() - start
+    assert out["passed"] and elapsed < 5.0, f"passed={out['passed']}, {elapsed:.2f}s < 5s"
 
 
 def test_criterion_6_bound_sweeps():

@@ -156,6 +156,16 @@ def test_taylor_bad_index(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("degree, label", [
+    ("1", "X:+1"), ("1", "X:01"), ("1", "X: 1"), ("1", "X:\u0661"), ("9", "X:1_0"),
+], ids=["plus-sign", "leading-zero", "inner-space", "arabic-indic-digit", "underscore"])
+def test_taylor_rejects_non_canonical_index(capsys, degree, label):
+    code, out, err = run(capsys, "taylor", "--degree", degree, "--index", label)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: index label must look like")
+
+
 def test_fourier_round_trip(capsys, tmp_path):
     from fractions import Fraction
     from monokit.basis import basis_for_degree

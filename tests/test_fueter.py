@@ -7,13 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from monokit import fueter
 from monokit.basis import BETA_VARIANTS, axial_closed_form, basis_for_degree, spherical_monogenic
-from monokit.fueter import (fueter_power, fueter_power_permutation_sum, taylor_coefficients,
+from monokit.fueter import (fueter_power, polarization_match, taylor_coefficients,
                             taylor_reconstruct)
 from monokit.mpoly import MPoly, X0, X1, X2, Z1, Z2
 from monokit.quaternion import E1, E2, Quaternion
-from reference_routes import (evaluate, fueter_power_bound_check, printed_axial_expansion,
-                              printed_taylor_sums)
+from monokit.report import check_taylor
+from reference_routes import (evaluate, fueter_power_bound_check, fueter_power_permutation_sum,
+                              printed_axial_expansion, printed_taylor_sums)
 
 
 def test_low_order_powers():
@@ -42,6 +44,38 @@ def test_permutation_oracle_is_the_sum_over_all_orders():
                     prod = prod * factor
                 total = total + prod
             assert fueter_power_permutation_sum(g1, n - g1) == total / math.factorial(n)
+
+
+def test_polarization_matches_the_recursion():
+    for d in range(17):
+        assert polarization_match(d)
+
+
+# one power off its definition: the two orders of z1 z2 alone, and a stray term at degree 5
+MUTANTS = {
+    "v11-is-z1z2": ((1, 1), Z1 * Z2),
+    "v11-is-z2z1": ((1, 1), Z2 * Z1),
+    "v23-plus-x0^5/7": ((2, 3), fueter_power(2, 3) + MPoly.monomial((5, 0, 0), Fraction(1, 7))),
+}
+
+
+@pytest.fixture(params=sorted(MUTANTS))
+def mutant_power(request, monkeypatch):
+    """fueter.fueter_power with one value replaced, read from a table through degree 6."""
+    gamma, poly = MUTANTS[request.param]
+    table = {(g, n - g): fueter_power(g, n - g) for n in range(7) for g in range(n + 1)}
+    table[gamma] = poly
+    monkeypatch.setattr(fueter, "fueter_power", lambda g1, g2: table[(g1, g2)])
+
+
+def test_polarization_rejects_a_wrong_power(mutant_power):
+    assert not polarization_match(6)
+
+
+def test_check_taylor_fails_on_a_wrong_power(mutant_power):
+    out = check_taylor(6)
+    assert out["permutation_oracle_match"] is False
+    assert out["passed"] is False
 
 
 def test_powers_are_monogenic():
