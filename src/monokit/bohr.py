@@ -35,8 +35,8 @@ reads its supremum _e1_sc_sup, its lemma exactly 1/2.  No bound family samples.
 
 The empirical sweep draws each random admissible f as a coefficient vector
 over the basis; no polynomial is built or expanded per function.  Its 65 x 128
-theta-phi grid stays factored (columns cos, sin theta; a phi row), its power
-tables built once.
+theta-phi grid stays factored (columns cos, sin theta; a phi row), the kernel's
+factors of each block built once, and one buffer holds every block's values.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .fueter import taylor_coefficients
 from .legendre import double_factorial
 from .moments import norm_sq_sphere
 from .mpoly import MPoly
-from .quadrature import FourierCoeffs, block_values, grid_powers
+from .quadrature import FourierCoeffs, bin_factors, block_table, block_values, grid_powers
 
 
 # -- majorant series -----------------------------------------------------------
@@ -334,11 +334,11 @@ def verify_constants_ratio_lemma(k_max: int) -> BoundCheckReport:
 
 
 @lru_cache(maxsize=None)
-def _bohr_grid_powers(top: int) -> tuple[np.ndarray, ...]:
-    """grid_powers of empirical_bohr_sum's 65 x 128 theta-phi grid on S, poles included."""
+def _bohr_block_factors(n: int) -> tuple[np.ndarray, ...]:
+    """bin_factors of block n on the sum's 65 x 128 theta-phi grid on S, poles included."""
     theta = np.linspace(0.0, np.pi, 65)[:, None]
     phi = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)[None, :]
-    return grid_powers(np.cos(theta), np.sin(theta), phi, top)
+    return bin_factors(block_table(n)[1], grid_powers(np.cos(theta), np.sin(theta), phi, n))
 
 
 def random_test_function(rng: np.random.Generator, max_degree: int = 5) -> FourierCoeffs:
@@ -376,10 +376,9 @@ def empirical_bohr_sum(coeffs: FourierCoeffs, r: float) -> float:
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"need 0 <= r < 1, got {r}")
-    powers = _bohr_grid_powers(coeffs.max_degree)
-    square, total = np.empty((65, 128)), 0.0
+    buffer, square, total = np.empty(4 * 65 * 128), np.empty((65, 128)), 0.0
     for n in range(coeffs.max_degree + 1):
-        values = block_values(coeffs, n, powers)
+        values = block_values(coeffs, n, _bohr_block_factors(n), buffer)
         np.einsum("k...,k...->...", values, values, out=square)  # |block|^2, no BLAS
         total += r ** n * math.sqrt(square.max())
     return total

@@ -13,14 +13,13 @@ this module is binary64; the exact counterparts live in the moments module
 and are used by the tests to pin these numbers down, as are the pairwise
 quadrature products in tests/reference_routes.py.
 
-Floats are evaluated at (x0, rho, phi), x1 = rho cos phi, x2 = rho sin phi, by
-one kernel, eval_bins, on padded tables binned by the x0 and rho powers (x0^a
-x1^b x2^c is x0^a rho^(b+c) cos^b sin^c).  One builder, bin_table, lays every
-table out: eval_terms' for one term list, block_table's for one degree block of
-the basis, which basis_samples evaluates in one call and block_values folds into
-one coefficient per monomial.  Float inner products of basis elements reduce the
-memoized basis_samples by np.einsum without BLAS, so reruns are byte-identical;
-sphere_gram takes all component pairs at once, and its scalar part is the real Gram.
+Floats are evaluated at (x0, rho, phi), x1 = rho cos phi, x2 = rho sin phi, by one kernel,
+eval_bins: two einsums over a padded table binned by the x0 and rho powers (x0^a x1^b x2^c is
+x0^a rho^(b+c) cos^b sin^c) and the factors of its bins at the points, bin_factors.  One
+builder, bin_table, lays every table out: eval_terms' for one term list, block_table's for one
+degree block of the basis, which basis_samples evaluates and block_values folds into one
+coefficient per monomial.  Float inner products reduce the memoized basis_samples by np.einsum
+without BLAS, so reruns are byte-identical; sphere_gram takes all component pairs at once.
 
 >>> eval_terms([((1, 0, 0), (2.0, 0.0, 0.0, 0.0))], 0.5, 0.0, 0.0)
 array([1., 0., 0., 0.])
@@ -39,6 +38,13 @@ from .mpoly import MPoly
 from .quaternion import E1, E2, E3, ONE
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only in place, so that memos may share them."""
+    for v in arrays:
+        v.flags.writeable = False
+    return arrays
+
+
 def _powers(v: np.ndarray, top: int) -> np.ndarray:
     """v^0 .. v^top by repeated multiplication, stacked on a new first axis, read-only."""
     table = np.empty((top + 1,) + v.shape)
@@ -46,8 +52,7 @@ def _powers(v: np.ndarray, top: int) -> np.ndarray:
     for k in range(1, top + 1):
         # table[k, ...] stays an array view when v is 0-d; table[k] would not
         np.multiply(table[k - 1], v, out=table[k, ...])
-    table.flags.writeable = False
-    return table
+    return _read_only(table)[0]
 
 
 def grid_powers(x0, rho, phi, top: int) -> tuple[np.ndarray, ...]:
@@ -56,29 +61,34 @@ def grid_powers(x0, rho, phi, top: int) -> tuple[np.ndarray, ...]:
     return tuple(_powers(v, top) for v in (x0, rho, np.cos(phi), np.sin(phi)))
 
 
-def eval_bins(table, bins, powers) -> np.ndarray:
-    """The float kernel: E tables of bin_table at the points of powers (grid_powers); (E, 4) + grid.
-
-    Rows comps * cos^b * sin^(s-b) are summed slot by slot from zero in ascending b; each live
-    (e, k) is then one einsum (no BLAS) over the bins, in order, with the columns x0^a rho^s.
-    """
+def bin_factors(bins, powers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """eval_bins' factors of bins at the points of powers (grid_powers), read-only: cos^b per
+    slot b, sin^(s-b) per bin and slot (sin^0 past s) and x0^a rho^s per bin (a, s)."""
     x0_pow, rho_pow, cos_pow, sin_pow = powers
-    a, s = np.asarray(bins, dtype=int).reshape(-1, 2).T
-    live = table.any(axis=(2, 3))
-    comps = np.flatnonzero(live.any(axis=0))
-    coeffs = table[:, comps][(...,) + (None,) * (cos_pow.ndim - 1)]  # onto the phi shape
-    rows = np.zeros(coeffs.shape[:3] + cos_pow.shape[1:])
-    term = np.empty_like(rows)  # one buffer for the products of every slot
-    for b in range(table.shape[3]):
-        np.multiply(coeffs[:, :, :, b], cos_pow[b], out=term)
-        rows += np.multiply(term, sin_pow[np.maximum(s - b, 0)], out=term)
-    radial = x0_pow[a] * rho_pow[s]
-    out = np.empty(table.shape[:2] + np.broadcast_shapes(radial.shape[1:], cos_pow.shape[1:]))
-    out[~live] = 0.0  # einsum zeroes the live ones before it adds
-    for e, i in zip(*np.nonzero(live[:, comps])):
-        # out[e, k, ...] stays an array view when the points are 0-d; out[e, k] would not
-        np.einsum("b...,b...->...", radial, rows[e, i], out=out[e, comps[i], ...])
-    return out
+    a, s = np.array(bins, dtype=int).reshape(-1, 2).T
+    b = np.arange(s.max(initial=-1) + 1)
+    return _read_only(cos_pow[b], sin_pow[np.maximum(s[:, None] - b, 0)], x0_pow[a] * rho_pow[s])
+
+
+def eval_bins(table, factors, out=None) -> np.ndarray:
+    """The float kernel: E tables of bin_table at the points of bin_factors; (E, 4) + grid.
+
+    One einsum sums the rows (comps * cos^b) * sin^(s-b) over the slots from zero in ascending b,
+    one more (no BLAS) the rows times the radial columns over the bins in order: on a tensor grid
+    (x0 (n, 1), phi (1, n_phi)) along rows of all E * 4 * n_phi values, into a contiguous buffer
+    of E * 4 * grid-size floats (out, if given) of which the result is a view."""
+    cos_rows, sin_rows, radial = factors
+    n_e, n_k, n_bins = table.shape[:3]
+    grid = np.broadcast_shapes(radial.shape[1:], cos_rows.shape[1:])
+    out = np.empty(n_e * n_k * math.prod(grid)) if out is None else out
+    tensor = radial.shape[2:] == cos_rows.shape[1:-1] == (1,) and math.prod(grid) > 1
+    rows = np.einsum("ekib,b...,ib...->" + ("iek..." if tensor else "eki..."), table, cos_rows,
+                     sin_rows, order="C")
+    if not tensor:  # one point sums as one dot product, scattered points along the points
+        return np.einsum("ekb...,b...->ek...", rows, radial, out=out.reshape((n_e, n_k) + grid))
+    np.einsum("b...,b...->...", radial, rows.reshape(n_bins, n_e * n_k * grid[-1]),
+              out=out.reshape(grid[:-1] + (-1,)))
+    return np.moveaxis(out.reshape(grid[:-1] + (n_e, n_k, -1)), (-3, -2), (0, 1))
 
 
 def bin_table(term_lists) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
@@ -108,7 +118,7 @@ def eval_terms(terms, x0, rho, phi) -> np.ndarray:
     """(exponent, 4 floats) terms in any order at x1 = rho cos phi, x2 = rho sin phi; grid+(4,)."""
     table, bins = bin_table([terms])
     powers = grid_powers(x0, rho, phi, max(map(max, bins), default=0))
-    return np.moveaxis(eval_bins(table, bins, powers)[0], 0, -1)
+    return np.moveaxis(np.ascontiguousarray(eval_bins(table, bin_factors(bins, powers))[0]), 0, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,23 +141,28 @@ class QuadratureRule:
         n_t = max((max_degree + 1 + 1) // 2, 1)
         n_phi = max(max_degree + 1, 1)
         nodes, weights = np.polynomial.legendre.leggauss(n_t)
-        nodes.flags.writeable = weights.flags.writeable = False
-        return cls(nodes, weights, n_phi, max_degree)
+        return cls(*_read_only(nodes, weights), n_phi, max_degree)
 
     def require(self, degree: int) -> None:
         """Raise ValueError unless the rule is exact for polynomials of total degree `degree`."""
         if self.exactness_degree < degree:
             raise ValueError(f"rule exact to degree {self.exactness_degree}, need {degree}")
 
+    @lru_cache(maxsize=None)
     def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The node grid as eval_terms takes it: x0 = t and rho as (n_t, 1), phi as (1, n_phi)."""
         t = self.t_nodes[:, None]
         phi = 2.0 * np.pi * (np.arange(self.n_phi) + 0.5) / self.n_phi
-        return t, np.sqrt(1.0 - t * t), phi[None, :]
+        return _read_only(t, np.sqrt(1.0 - t * t), phi[None, :])
 
+    @lru_cache(maxsize=None)
     def node_weights(self) -> np.ndarray:
         """Weight of each grid node, shape (n_t, n_phi)."""
-        return np.outer(self.t_weights, np.full(self.n_phi, 2.0 * np.pi / self.n_phi))
+        return _read_only(np.outer(self.t_weights, np.full(self.n_phi, 2 * np.pi / self.n_phi)))[0]
+
+    @lru_cache(maxsize=None)
+    def powers(self, top: int) -> tuple[np.ndarray, ...]:
+        return grid_powers(*self.grid(), top)  # read-only, as grid_powers' tables are
 
 
 @lru_cache(maxsize=None)
@@ -197,11 +212,9 @@ def basis_samples(rule: QuadratureRule, max_degree: int) -> np.ndarray:
     block_table.  The array is memoized per rule and degree (the 16 most recent,
     a few MB at most each) and shared by every caller, so it is read-only.
     """
-    powers = grid_powers(*rule.grid(), max_degree)
-    samples = np.concatenate([eval_bins(*block_table(n), powers) for n in range(max_degree + 1)])
-    samples = np.moveaxis(samples, 1, -1)
-    samples.flags.writeable = False
-    return samples
+    samples = np.concatenate([eval_bins(table, bin_factors(bins, rule.powers(max_degree)))
+                              for table, bins in map(block_table, range(max_degree + 1))])
+    return _read_only(np.moveaxis(np.ascontiguousarray(samples), 1, -1))[0]  # strides: sum order
 
 
 def sphere_norms(elements) -> np.ndarray:
@@ -213,6 +226,15 @@ def radial_pairs(degrees: np.ndarray) -> np.ndarray:
     """radial_moment(n + k + 2) for every pair of element degrees, shape (E, E)."""
     table = np.array([radial_moment(k + 2) for k in range(2 * degrees.max() + 1)])
     return table[degrees[:, None] + degrees[None, :]]
+
+
+@lru_cache(maxsize=None)
+def _element_scales(max_degree: int) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """Keys (n, label), degrees, sphere norms and sqrt(2n+3) of basis_elements(max_degree)."""
+    elements = basis_elements(max_degree)
+    degrees = np.array([e.index.n for e in elements])
+    return ([(e.index.n, e.index.label) for e in elements],
+            *_read_only(degrees, sphere_norms(elements), np.sqrt(2 * degrees + 3)))
 
 
 def fourier_expand(f: MPoly, max_degree: int, rule: QuadratureRule) -> FourierCoeffs:
@@ -228,13 +250,12 @@ def fourier_expand(f: MPoly, max_degree: int, rule: QuadratureRule) -> FourierCo
     its products with the degree-max_degree elements exactly, else ValueError.
     """
     rule.require(max(f.degree(), 0) + max_degree)
-    elements = basis_elements(max_degree)
-    raw = np.einsum("itpc,tpc,tp->i", basis_samples(rule, max_degree),
-                    eval_terms(f.float_terms(), *rule.grid()), rule.node_weights())
-    degrees = np.array([e.index.n for e in elements])
-    values = raw / sphere_norms(elements) / np.sqrt(2 * degrees + 3)
-    return FourierCoeffs(max_degree, {(e.index.n, e.index.label): float(v)
-                                      for e, v in zip(elements, values)})
+    table, bins = bin_table([f.float_terms()])
+    values = eval_bins(table, bin_factors(bins, rule.powers(rule.exactness_degree)))[0]
+    raw = np.einsum("itpc,ctp,tp->i", basis_samples(rule, max_degree),
+                    np.ascontiguousarray(values), rule.node_weights())  # strides set sum order
+    keys, _, norms, roots = _element_scales(max_degree)
+    return FourierCoeffs(max_degree, dict(zip(keys, (raw / norms / roots).tolist())))
 
 
 @lru_cache(maxsize=None)
@@ -245,25 +266,23 @@ def block_table(n: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
     and the table is (2n+3, 4, n+1, n+1), under 50 KB at n = 8.
     """
     table, bins = bin_table(e.poly.float_terms() for e in basis_for_degree(n))
-    table.flags.writeable = False
-    return table, bins
+    return _read_only(table)[0], bins
 
 
-def block_values(coeffs: FourierCoeffs, n: int, powers) -> np.ndarray:
-    """Block n of the series at the points of powers (grid_powers), shape (4,) + grid.
+def block_values(coeffs: FourierCoeffs, n: int, factors, out=None) -> np.ndarray:
+    """Block n of the series at the points of its bin_factors, (4,) + grid; out as in eval_bins.
 
     One einsum (no BLAS) contracts the weights sqrt(2n+3) alpha / norm_S with block_table.
     """
-    table, bins = block_table(n)
     scale = np.asarray(coeffs.block(n), dtype=float) * math.sqrt(2 * n + 3)
     scale = scale / sphere_norms(basis_for_degree(n))
-    return eval_bins(np.einsum("i,i...->...", scale, table)[None], bins, powers)[0]
+    return eval_bins(np.einsum("i,i...->...", scale, block_table(n)[0])[None], factors, out)[0]
 
 
 def fourier_synthesize(coeffs: FourierCoeffs, x0, rho, phi) -> np.ndarray:
     """The truncated series at (x0, rho, phi), as eval_terms, block by block; grid+(4,)."""
     powers = grid_powers(x0, rho, phi, coeffs.max_degree)
-    return np.moveaxis(sum(block_values(coeffs, n, powers)
+    return np.moveaxis(sum(block_values(coeffs, n, bin_factors(block_table(n)[1], powers))
                            for n in range(coeffs.max_degree + 1)), 0, -1)
 
 
@@ -271,17 +290,19 @@ def fourier_synthesize(coeffs: FourierCoeffs, x0, rho, phi) -> np.ndarray:
 def sphere_gram(max_degree: int) -> np.ndarray:
     """Integrals of conj(f_i) f_j over S for the raw basis through max_degree, (E, E, 4).
 
-    Elements are ordered as basis_elements(max_degree), on the rule exact to
-    2 max_degree.  The node reduction yields every component pair (a, b) at
-    once; the pairwise products over the nodes are never stored.  Component 0
-    is the real Gram.  Memoized per degree and shared, so read-only.
+    Elements are ordered as basis_elements(max_degree), on the rule exact to 2 max_degree.  The
+    node reduction yields every component pair (a, b) at once, each degree block against the
+    blocks from it on, the rest mirrored; the pairwise products over the nodes are never stored.
+    Component 0 is the real Gram.  Memoized per degree and shared, so read-only.
     """
     rule = QuadratureRule.for_degree(2 * max_degree)
     samples = basis_samples(rule, max_degree)
-    pairs = np.einsum("itpa,jtpb,tp->ijab", samples, samples, rule.node_weights())
-    gram = np.einsum("ijab,abk->ijk", pairs, _CONJ_TABLE)
-    gram.flags.writeable = False
-    return gram
+    pairs = np.empty((len(samples),) * 2 + (4, 4))
+    for n in range(max_degree + 1):
+        lo, hi = n * (n + 2), (n + 1) * (n + 3)  # block n, after the 2k+3 elements of each k < n
+        block = np.einsum("itpa,jtpb,tp->ijab", samples[lo:hi], samples[lo:], rule.node_weights())
+        pairs[lo:hi, lo:], pairs[lo:, lo:hi] = block, block.transpose(1, 0, 3, 2)
+    return _read_only(np.einsum("ijab,abk->ijk", pairs, _CONJ_TABLE))[0]
 
 
 def gram_matrix_ball(max_degree: int) -> np.ndarray:
@@ -292,9 +313,8 @@ def gram_matrix_ball(max_degree: int) -> np.ndarray:
     ball integral is the sphere integral times the radial moment of
     r^(n+k+2), normalized by sqrt(2n+3)/norm_S on each side.
     """
-    elements = basis_elements(max_degree)
-    degrees = np.array([e.index.n for e in elements])
-    scale = np.sqrt(2 * degrees + 3) / sphere_norms(elements)
+    _, degrees, norms, roots = _element_scales(max_degree)
+    scale = roots / norms
     return sphere_gram(max_degree)[..., 0] * radial_pairs(degrees) * np.outer(scale, scale)
 
 

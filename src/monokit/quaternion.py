@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Union
 
 Rational = Union[int, Fraction]
+_FRAC_PARTS = re.compile(r"(-?[0-9]+)/(0*[1-9][0-9]*)")  # 'p/q' of parse_frac_parts
 
 
 def frac(value: Union[Rational, str]) -> Fraction:
@@ -41,7 +42,7 @@ def frac_str(value: Fraction) -> str:
 
 def parse_frac_parts(text) -> tuple[int, int]:
     """Exactly 'p/q' with integers p and q > 0, as (p, q) in lowest terms."""
-    match = re.fullmatch(r"(-?[0-9]+)/(0*[1-9][0-9]*)", text) if isinstance(text, str) else None
+    match = _FRAC_PARTS.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise ValueError(f"rational 'p/q' with q > 0 expected, got {text!r}")
     p, q = int(match[1]), int(match[2])

@@ -9,8 +9,11 @@ coefficient per monomial of the block; quadrature.eval_terms then evaluates
 that term list as one polynomial.  quadrature.block_values contracts the same
 weights with the padded block table instead and evaluates it with eval_bins.
 block_table_loop fills that table term by term, the reference of
-quadrature.bin_table.  sphere_grid(65, 128) is the grid of
-bohr.empirical_bohr_sum.
+quadrature.bin_table.  eval_bins_slot_loop is the earlier form of the float
+kernel, quadrature.eval_bins: it loops over the slots and contracts each
+live (element, component) in its own einsum.  sphere_grid(65, 128) is the
+grid of bohr.empirical_bohr_sum, and sphere_pairs_full the one full node
+reduction that quadrature.sphere_gram halves.
 
 printed_axial_expansion and printed_taylor_sums transcribe the printed
 beta_{n+1,l,k} formulas verbatim: the component-wise axial expansion of
@@ -44,8 +47,8 @@ from monokit.fueter import fueter_power
 from monokit.legendre import assoc_body, double_factorial
 from monokit.moments import _numerator, ball_moment, sphere_moment
 from monokit.mpoly import MPoly, X0, Z1, Z2
-from monokit.quadrature import (_CONJ_TABLE, QuadratureRule, eval_terms, radial_moment,
-                                sphere_norms)
+from monokit.quadrature import (_CONJ_TABLE, QuadratureRule, basis_samples, eval_terms,
+                                radial_moment, sphere_norms)
 from monokit.quaternion import Quaternion, Rational, frac
 
 Point3 = tuple[Fraction, Fraction, Fraction]
@@ -69,6 +72,37 @@ def block_table_loop(n):
         for (a, b, _), comps in e.poly.float_terms():
             table[i, :, a, b] = comps
     return table, tuple((a, n - a) for a in range(n + 1))
+
+
+def eval_bins_slot_loop(table, bins, powers) -> np.ndarray:
+    """The float kernel: E tables of bin_table at the points of powers (grid_powers); (E, 4) + grid.
+
+    Rows comps * cos^b * sin^(s-b) are summed slot by slot from zero in ascending b; each live
+    (e, k) is then one einsum (no BLAS) over the bins, in order, with the columns x0^a rho^s.
+    """
+    x0_pow, rho_pow, cos_pow, sin_pow = powers
+    a, s = np.asarray(bins, dtype=int).reshape(-1, 2).T
+    live = table.any(axis=(2, 3))
+    comps = np.flatnonzero(live.any(axis=0))
+    coeffs = table[:, comps][(...,) + (None,) * (cos_pow.ndim - 1)]  # onto the phi shape
+    rows = np.zeros(coeffs.shape[:3] + cos_pow.shape[1:])
+    term = np.empty_like(rows)  # one buffer for the products of every slot
+    for b in range(table.shape[3]):
+        np.multiply(coeffs[:, :, :, b], cos_pow[b], out=term)
+        rows += np.multiply(term, sin_pow[np.maximum(s - b, 0)], out=term)
+    radial = x0_pow[a] * rho_pow[s]
+    out = np.empty(table.shape[:2] + np.broadcast_shapes(radial.shape[1:], cos_pow.shape[1:]))
+    out[~live] = 0.0  # einsum zeroes the live ones before it adds
+    for e, i in zip(*np.nonzero(live[:, comps])):
+        # out[e, k, ...] stays an array view when the points are 0-d; out[e, k] would not
+        np.einsum("b...,b...->...", radial, rows[e, i], out=out[e, comps[i], ...])
+    return out
+
+
+def sphere_pairs_full(rule, max_degree):
+    """Every component pair of every element pair, reduced over the nodes of rule at once."""
+    samples = basis_samples(rule, max_degree)
+    return np.einsum("itpa,jtpb,tp->ijab", samples, samples, rule.node_weights())
 
 
 def sphere_grid(n_theta, n_phi):

@@ -383,9 +383,9 @@ def test_empirical_sum_equals_the_per_block_route_bit_for_bit():
         for r in (0.049, 0.9):
             assert empirical_bohr_sum(coeffs, r) == _per_block_bohr_sum(coeffs, r)
     # the blocks themselves, on every node of the grid
-    powers, grid = bohr_mod._bohr_grid_powers(8), sphere_grid(65, 128)
+    grid = sphere_grid(65, 128)
     for n in range(9):
-        values = np.moveaxis(block_values(draws[-1], n, powers), 0, -1)
+        values = np.moveaxis(block_values(draws[-1], n, bohr_mod._bohr_block_factors(n)), 0, -1)
         assert values.tobytes() == eval_terms(block_terms(n, draws[-1].block(n)), *grid).tobytes()
 
 

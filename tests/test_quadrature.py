@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from monokit.basis import basis_elements, basis_for_degree
-from monokit.bohr import _bohr_grid_powers
+from monokit.bohr import _bohr_block_factors
 from monokit.moments import inner_sphere, sphere_moment
 from monokit.mpoly import MPoly, X0, X1, X2
 from monokit.quadrature import (_CONJ_TABLE, FourierCoeffs, QuadratureRule, basis_samples,
-                                block_table, eval_terms, fourier_expand, fourier_synthesize,
-                                gram_matrix_ball, gram_matrix_quaternion, radial_moment,
-                                sphere_gram, sphere_norms)
-from reference_routes import (block_table_loop, eval_grid, inner_ball_h, inner_product_B,
-                              inner_product_S, inner_sphere_h, sc_inner_product_S)
+                                bin_factors, bin_table, block_table, eval_bins, eval_terms,
+                                fourier_expand, fourier_synthesize, gram_matrix_ball,
+                                gram_matrix_quaternion, grid_powers, radial_moment, sphere_gram,
+                                sphere_norms)
+from reference_routes import (block_table_loop, eval_bins_slot_loop, eval_grid, inner_ball_h,
+                              inner_product_B, inner_product_S, inner_sphere_h,
+                              sc_inner_product_S, sphere_grid, sphere_pairs_full)
 
 
 def test_weight_total_is_sphere_area():
@@ -123,12 +125,12 @@ def test_basis_samples_are_shared_and_read_only():
     assert table.shape == (9, 4, 4, 4) and bins == ((0, 3), (1, 2), (2, 1), (3, 0))
     assert block_table(3)[0] is table
     assert table.nbytes < 50_000 > block_table(8)[0].nbytes
-    grid_powers = _bohr_grid_powers(5)
-    assert _bohr_grid_powers(5) is grid_powers
+    factors = _bohr_block_factors(5)
+    assert _bohr_block_factors(5) is factors
     gram = sphere_gram(2)
     assert gram.shape == (3 + 5 + 7, 3 + 5 + 7, 4)
     assert sphere_gram(2) is gram
-    for shared in (table, gram) + grid_powers:
+    for shared in (table, gram) + factors:
         assert not shared.flags.writeable
         with pytest.raises(ValueError):
             shared[(0,) * shared.ndim] = 1.0
@@ -154,15 +156,60 @@ def test_block_table_equals_the_term_loop_bit_for_bit():
         assert table.tobytes() == want.tobytes()
 
 
+def test_eval_bins_of_the_blocks_equals_the_slot_loop_bit_for_bit():
+    # the reference sums each slot into the rows in turn and each live (element, component)
+    # over the bins in its own einsum; the kernel's two einsums must give the same bits
+    for n in range(17):
+        table, bins = block_table(n)
+        for grid in (QuadratureRule.for_degree(2 * n).grid(), sphere_grid(65, 128)):
+            powers = grid_powers(*grid, n)
+            want = eval_bins_slot_loop(table, bins, powers)
+            got = eval_bins(table, bin_factors(bins, powers))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            buffer = np.empty(got.size)  # a caller's buffer holds the same result
+            into = eval_bins(table, bin_factors(bins, powers), buffer)
+            assert np.shares_memory(into, buffer) and into.tobytes() == want.tobytes()
+
+
+def test_eval_bins_of_term_lists_equals_the_slot_loop_bit_for_bit():
+    # one list per element, all of them in one table, two dead components, no terms at all;
+    # at scattered points, at one point (0-d, and as arrays shaped like a tensor grid's or
+    # not) and along the x0 axis
+    rng = np.random.default_rng(29)
+    x0, x1, x2 = rng.uniform(-1.0, 1.0, size=(3, 300))
+    lists = [e.poly.float_terms() for e in basis_elements(8)]
+    lists.append([(exp, (0.0, a, 0.0, -a)) for exp, (a, *_) in lists[-1]])
+    tables = [bin_table([terms]) for terms in lists] + [bin_table(lists), bin_table([[]])]
+    points = [(x0, np.hypot(x1, x2), np.arctan2(x2, x1)), (0.3, 0.4, 1.1),
+              ([0.3], [0.4], [1.1]), ([[0.3]], [[0.4]], [[1.1]]), (x0, 0.0, 0.0)]
+    for table, bins in tables:
+        for at in points:
+            powers = grid_powers(*at, max(map(max, bins), default=0))
+            want = eval_bins_slot_loop(table, bins, powers)
+            got = eval_bins(table, bin_factors(bins, powers))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_sphere_gram_equals_the_full_reduction_bit_for_bit():
+    # each block reduced against the elements from it on, the rest mirrored
+    for degree in (1, 4, 8):
+        pairs = sphere_pairs_full(QuadratureRule.for_degree(2 * degree), degree)
+        want = np.einsum("ijab,abk->ijk", pairs, _CONJ_TABLE)
+        assert sphere_gram(degree).tobytes() == want.tobytes()
+
+
 def test_one_read_only_rule_per_degree():
     rule = QuadratureRule.for_degree(6)
     assert QuadratureRule.for_degree(6) is rule
     assert QuadratureRule.for_degree(8) is not rule
     with pytest.raises(TypeError):  # a keyword would key a second cache entry
         QuadratureRule.for_degree(max_degree=6)
-    for nodes in (rule.t_nodes, rule.t_weights):
+    # the grid, its weights and its power tables are built once per rule and shared
+    memos = rule.grid() + (rule.node_weights(),) + rule.powers(6)
+    assert all(a is b for a, b in zip(memos, rule.grid() + (rule.node_weights(),) + rule.powers(6)))
+    for shared in (rule.t_nodes, rule.t_weights) + memos:
         with pytest.raises(ValueError):
-            nodes[0] = 0.0
+            shared[(0,) * shared.ndim] = 0.0
 
 
 def test_rule_grid_is_factored():
