@@ -27,12 +27,16 @@ recovered exactly from its n+1 Taylor coefficients
 
 Those derivatives leave only the monomial x1^g1 x2^g2 of f, so c_gamma
 is read off as its coefficient.  The same read on basis.axial_closed_form
-gives the printed Taylor closed forms, so they need no code here.
+gives the printed Taylor closed forms, so they need no code here.  The sum
+is formed on integers: each term v e_u x^e of V_gamma (MPoly.units; one unit
+per term, as the words reduce to +-e1^p e2^q) times each component c_j e_j of
+c_gamma adds v c_j e_u e_j x^e, with e_u e_j = _UNIT_SIGN[u][j] e_(u xor j).
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -76,6 +80,20 @@ def taylor_coefficients(f: MPoly) -> dict[tuple[int, int], Quaternion]:
     return {(g1, n - g1): f.coefficient((0, g1, n - g1)) for g1 in range(n + 1)}
 
 
+_UNIT_SIGN = ((1, 1, 1, 1), (1, -1, 1, -1), (1, -1, -1, 1), (1, 1, -1, -1))
+
+
 def taylor_reconstruct(tc: dict[tuple[int, int], Quaternion]) -> MPoly:
-    return sum_of_products([(fueter_power(*gamma), MPoly.scalar(c))
-                            for gamma, c in tc.items() if c])
+    """sum_gamma V_gamma c_gamma, the c_gamma on the right, on integers."""
+    parts = [(fueter_power(*gamma), c.components()) for gamma, c in tc.items() if c]
+    den = math.lcm(*(v.den * x.denominator for v, comps in parts for x in comps))
+    acc: dict = defaultdict(lambda: [0, 0, 0, 0])
+    for v, comps in parts:
+        for j, x in enumerate(comps):
+            if x:
+                w = x.numerator * (den // (v.den * x.denominator))
+                for u, terms in enumerate(v.units):
+                    i, s = u ^ j, w * _UNIT_SIGN[u][j]
+                    for exp, y in terms:
+                        acc[exp][i] += y * s
+    return MPoly._from_ints(den, acc)

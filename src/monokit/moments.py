@@ -66,7 +66,7 @@ def _factorials(a: int, b: int, c: int) -> int:
 def _real_product(f: MPoly, g: MPoly, ball: bool) -> Fraction:
     """sum_c integral f_c g_c, over pi: the scalar part of integral conj(f) g, on S or B."""
     n = f.harmonic_degree()
-    if n is not None and (g is f or g.harmonic_degree() == n):
+    if n is not None and g.harmonic_degree() == n:
         s = 0  # the Fischer product [f, g] over f.den * g.den
         for e, (a0, a1, a2, a3) in f.ints.items():
             b = g.ints.get(e)

@@ -7,8 +7,9 @@ exponents, which is exactly right because the variables commute with
 everything.  The value is stored in one canonical integer form: den > 0 and
 ints {exponent: [a, b, c, d]} with gcd(den, every int) == 1 and no all-zero
 term.  Arithmetic works on the ints and renormalises with one gcd; products
-run through one kernel, sum_of_products.  The read-only {exponent: Quaternion}
-view, terms, is the only place a Fraction is made.
+run through one kernel, sum_of_products.  Two read-only views are built on
+first read: terms, {exponent: Quaternion}, the only place a Fraction is made,
+and units, the (exponent, int) terms of each unit 1, e1, e2, e3.
 
 The generalized Cauchy-Riemann operator and its conjugate act from the
 left:
@@ -17,10 +18,10 @@ left:
     dirac_bar(f) = d/dx0 f - e1 d/dx1 f - e2 d/dx2 f
 
 A polynomial is (left) monogenic when dirac(f) == 0.  dirac(dirac_bar(f))
-is the Laplacian in the three variables.  dirac, dirac_bar and laplacian are
-each one pass over the integer terms; in the first two, left multiplication by
-e1 and e2 permutes the components with signs, e1 q = (-b, a, -d, c) and
-e2 q = (-c, d, a, -b) for q = (a, b, c, d).
+and dirac_bar(dirac(f)) are the Laplacian in the three variables, so a zero
+dirac decides the harmonic premise (harmonic_degree, kept once per
+polynomial).  Both are one pass over the integer terms, in which left
+multiplication by e1 and e2 permutes the components with signs.
 
 Floats are evaluated in quadrature, whose eval_terms reads float_terms.  Exact
 evaluation at a rational point is a test reference (tests/reference_routes.py).
@@ -43,12 +44,16 @@ import json
 import math
 from collections import defaultdict
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterator
 
 from .quaternion import E1, E2, Quaternion, parse_components
 
 Exponent = tuple[int, int, int]
+_ZERO = Fraction(0)
+_ZERO_TERM = [0, 0, 0, 0]  # compared with, never changed
+_UNDECIDED = object()  # harmonic_degree not yet decided
 
 
 def _as_coeff(value) -> Quaternion:
@@ -60,13 +65,13 @@ def _as_coeff(value) -> Quaternion:
 
 
 def _quaternion(comps: list[int], den: int) -> Quaternion:
-    return Quaternion(*(Fraction(x, den) for x in comps))
+    return Quaternion(*(Fraction(x, den) if x else _ZERO for x in comps))
 
 
 class MPoly:
     """Sparse polynomial: integer components over one denominator, per exponent triple."""
 
-    __slots__ = ("den", "ints", "_terms")
+    __slots__ = ("den", "ints", "_terms", "_units", "_harmonic")
 
     def __init__(self, terms: dict[Exponent, Quaternion] | None = None):
         coeffs = [(tuple(exp), _as_coeff(c).components()) for exp, c in (terms or {}).items()]
@@ -74,16 +79,17 @@ class MPoly:
         self.den = math.lcm(*(x.denominator for _, comps in coeffs for x in comps))
         self.ints = {exp: [x.numerator * (self.den // x.denominator) for x in comps]
                      for exp, comps in coeffs if any(comps)}
-        self._terms = None
+        self._terms, self._units, self._harmonic = None, None, _UNDECIDED
 
     @classmethod
     def _from_ints(cls, den: int, ints: dict[Exponent, list[int]]) -> MPoly:
         """sum ints[e] / den * x^e (den > 0), brought to canonical form by one gcd."""
-        ints = {exp: comps for exp, comps in ints.items() if any(comps)}
-        g = math.gcd(den, *(x for comps in ints.values() for x in comps))
+        ints = {exp: comps for exp, comps in ints.items() if comps != _ZERO_TERM}
+        g = math.gcd(den, *chain.from_iterable(ints.values()))
         poly = cls.__new__(cls)
-        poly.den, poly._terms = den // g, None
-        poly.ints = {exp: [x // g for x in comps] for exp, comps in ints.items()} if g > 1 else ints
+        poly.den, poly._terms, poly._units, poly._harmonic = den // g, None, None, _UNDECIDED
+        poly.ints = ({exp: [a // g, b // g, c // g, d // g] for exp, (a, b, c, d) in ints.items()}
+                     if g > 1 else ints)
         return poly
 
     @property
@@ -93,6 +99,15 @@ class MPoly:
             self._terms = MappingProxyType({exp: _quaternion(comps, self.den)
                                             for exp, comps in self.ints.items()})
         return self._terms
+
+    @property
+    def units(self) -> tuple[tuple[tuple[Exponent, int], ...], ...]:
+        """Read-only view, built on first read: units[u] is the (exponent, int over den)
+        pairs of the terms whose component u (of 1, e1, e2, e3) is nonzero."""
+        if self._units is None:
+            self._units = tuple(tuple((e, c[u]) for e, c in self.ints.items() if c[u])
+                                for u in range(4))
+        return self._units
 
     # -- constructors -------------------------------------------------------
 
@@ -184,27 +199,27 @@ class MPoly:
         return self._dirac(-1)
 
     def _dirac(self, s: int, scale: int = 1) -> MPoly:
-        """(d0 f + s (e1 d1 f + e2 d2 f)) / scale, one pass over the integer terms."""
+        """(d0 f + s (e1 d1 f + e2 d2 f)) / scale, one pass over the integer terms; a zero
+        result decides harmonic_degree, as dirac_bar and dirac factor the Laplacian."""
         acc: dict[Exponent, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
         for (x, y, z), (a, b, c, d) in self.ints.items():
-            for exp, k, (p, q, r, u) in (((x - 1, y, z), x, (a, b, c, d)),
-                                         ((x, y - 1, z), s * y, (-b, a, -d, c)),
-                                         ((x, y, z - 1), s * z, (-c, d, a, -b))):
-                if k:
-                    t = acc[exp]
-                    t[:] = t[0] + k * p, t[1] + k * q, t[2] + k * r, t[3] + k * u
-        return MPoly._from_ints(self.den * scale, acc)
+            if x:  # d0 f
+                t = acc[x - 1, y, z]
+                t[0], t[1], t[2], t[3] = t[0] + x * a, t[1] + x * b, t[2] + x * c, t[3] + x * d
+            if y:  # s e1 d1 f, e1 q = (-b, a, -d, c)
+                k, t = s * y, acc[x, y - 1, z]
+                t[0], t[1], t[2], t[3] = t[0] - k * b, t[1] + k * a, t[2] - k * d, t[3] + k * c
+            if z:  # s e2 d2 f, e2 q = (-c, d, a, -b)
+                k, t = s * z, acc[x, y, z - 1]
+                t[0], t[1], t[2], t[3] = t[0] - k * c, t[1] + k * d, t[2] + k * a, t[3] - k * b
+        out = MPoly._from_ints(self.den * scale, acc)
+        if not out.ints and self._harmonic is _UNDECIDED:
+            self._harmonic = self.degree() if self.is_homogeneous() else None
+        return out
 
     def laplacian(self) -> MPoly:
-        """d0^2 f + d1^2 f + d2^2 f, one pass over the integer terms."""
-        acc: dict[Exponent, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
-        for (x, y, z), (a, b, c, d) in self.ints.items():
-            for exp, k in (((x - 2, y, z), x * (x - 1)), ((x, y - 2, z), y * (y - 1)),
-                           ((x, y, z - 2), z * (z - 1))):
-                if k:
-                    t = acc[exp]
-                    t[:] = t[0] + k * a, t[1] + k * b, t[2] + k * c, t[3] + k * d
-        return MPoly._from_ints(self.den, acc)
+        """d0^2 f + d1^2 f + d2^2 f, as dirac_bar(dirac(f))."""
+        return self.dirac().dirac_bar()
 
     # -- inspection ----------------------------------------------------------
 
@@ -222,16 +237,19 @@ class MPoly:
         return len(degrees) <= 1
 
     def harmonic_degree(self) -> int | None:
-        """n if homogeneous of degree n with a zero Laplacian (-1 for 0), else None."""
-        return self.degree() if self.is_homogeneous() and self.laplacian().is_zero() else None
+        """n if homogeneous of degree n with a zero Laplacian (-1 for 0), else None; decided
+        once per polynomial, here or by a zero dirac() or dirac_bar()."""
+        if self._harmonic is _UNDECIDED:
+            self._harmonic = (self.degree() if self.is_homogeneous()
+                              and self.laplacian().is_zero() else None)
+        return self._harmonic
 
     def is_reduced(self) -> bool:
         """True when every coefficient lies in span{1, e1, e2}."""
         return all(comps[3] == 0 for comps in self.ints.values())
 
     def coefficient(self, exp: Exponent) -> Quaternion:
-        comps = self.ints.get(tuple(exp))
-        return _quaternion(comps, self.den) if comps else Quaternion()
+        return _quaternion(self.ints.get(tuple(exp), _ZERO_TERM), self.den)
 
     def component(self, i: int) -> MPoly:
         """Real polynomial (as MPoly) of the i-th quaternion component."""

@@ -16,7 +16,7 @@ from monokit import basis, legendre
 from monokit.basis import basis_for_degree, spherical_monogenic
 from monokit.bohr import (bohr_radius, empirical_bohr_sweep, pointwise_polynomial_bound,
                           series_s1, verify_corollary_bounds, verify_pointwise_bounds)
-from monokit.fueter import fueter_power
+from monokit.fueter import fueter_power, taylor_coefficients, taylor_reconstruct
 from monokit.moments import norm_sq_sphere
 from monokit.quadrature import gram_matrix_ball
 from monokit.quaternion import E1
@@ -98,6 +98,25 @@ def test_taylor_section_reaches_degree_16():
     out = check_taylor(16)
     elapsed = time.perf_counter() - start
     assert out["passed"] and elapsed < 5.0, f"passed={out['passed']}, {elapsed:.2f}s < 5s"
+
+
+def test_exact_layer_per_element_through_degree_12():
+    # the exact-basis benchmark op, cold: build, Dirac check, exact norm, Taylor round trip
+    for cached in (basis.solid_harmonic, basis.spherical_monogenic, basis.basis_for_degree,
+                   basis._legendre_radial, basis._radius_sq_power, basis.complex_power_parts,
+                   legendre.legendre_coeffs, legendre.assoc_body, fueter_power):
+        cached.cache_clear()
+    start = time.perf_counter()
+    count = 0
+    for n in range(13):
+        for ix in basis.degree_indices(n):
+            poly = spherical_monogenic(n, ix.kind, ix.m).poly
+            assert poly.dirac().is_zero()
+            assert norm_sq_sphere(poly) == basis.norm_sq_sphere_closed(n, ix.m)
+            assert taylor_reconstruct(taylor_coefficients(poly)) == poly
+            count += 1
+    elapsed = time.perf_counter() - start
+    assert count == 195 and elapsed < 1.0, f"{count} elements, {elapsed:.2f}s < 1s"
 
 
 def test_criterion_6_bound_sweeps():

@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from monokit import fueter
-from monokit.basis import BETA_VARIANTS, axial_closed_form, basis_for_degree, spherical_monogenic
+from monokit import fueter, report
+from monokit.basis import (BETA_VARIANTS, BasisElement, axial_closed_form, basis_elements,
+                           basis_for_degree, spherical_monogenic)
 from monokit.fueter import (fueter_power, polarization_match, taylor_coefficients,
                             taylor_reconstruct)
 from monokit.mpoly import MPoly, X0, X1, X2, Z1, Z2
@@ -76,6 +77,30 @@ def test_check_taylor_fails_on_a_wrong_power(mutant_power):
     out = check_taylor(6)
     assert out["permutation_oracle_match"] is False
     assert out["passed"] is False
+
+
+def test_check_taylor_passes_again_once_a_wrong_power_is_undone(monkeypatch):
+    # the reconstruction keeps no copy of a patched power: the unit view lives on each MPoly
+    with monkeypatch.context() as patch:
+        patch.setattr(fueter, "fueter_power", lambda g1, g2: (Z1 * Z2 if (g1, g2) == (1, 1)
+                                                              else fueter_power(g1, g2)))
+        out = check_taylor(6)
+        assert out["round_trip_exact"] is False and out["passed"] is False
+    assert fueter.fueter_power is fueter_power
+    out = check_taylor(6)
+    assert out["round_trip_exact"] is True and out["passed"] is True
+
+
+def test_check_taylor_fails_on_an_inhomogeneous_element(monkeypatch):
+    # degree-2 X:1 plus 1/7 of the degree-1 X:0: a FAIL, not a ValueError
+    elements = basis_elements(3)
+    k = next(i for i, e in enumerate(elements) if (e.index.n, e.index.label) == (2, "X:1"))
+    elements[k] = BasisElement(elements[k].index,
+                               elements[k].poly + spherical_monogenic(1, "X", 0).poly / 7)
+    monkeypatch.setattr(report, "basis_elements", lambda max_degree: elements)
+    out = check_taylor(3)
+    assert out == {"max_degree": 3, "round_trip_exact": False,
+                   "permutation_oracle_match": True, "passed": False}
 
 
 def test_powers_are_monogenic():

@@ -76,6 +76,7 @@ def test_dirac_matches_the_quaternion_loop_on_the_basis_and_its_harmonics():
         for f in harmonics + [e.poly for e in basis_for_degree(n)]:
             assert f.dirac() == _reference_dirac(f, 1)
             assert f.dirac_bar() == _reference_dirac(f, -1)
+            assert f.laplacian() == sum((f.partial(i).partial(i) for i in range(3)), MPoly.zero())
 
 
 @repeatable
@@ -171,6 +172,20 @@ def test_taylor_reconstruct_matches_the_additive_loop():
                 if c:
                     want = want + _reference_product(fueter_power(*gamma), MPoly.scalar(c))
             assert taylor_reconstruct(tc) == want == element.poly
+
+
+# every component drawn nonzero, so each unit part of V_gamma meets all four units of c
+full_quaternions = st.builds(Quaternion, *[fractions.filter(bool)] * 4)
+gammas = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda g: sum(g) <= 6)
+
+
+@repeatable
+@given(st.dictionaries(gammas, full_quaternions | quaternions, max_size=5))
+def test_taylor_reconstruct_matches_the_quaternion_loop_on_full_quaternions(tc):
+    want = MPoly.zero()
+    for gamma, c in tc.items():
+        want = want + _reference_product(fueter_power(*gamma), MPoly.scalar(c))
+    assert taylor_reconstruct(tc) == want
 
 
 @pytest.mark.parametrize("module", [monokit.mpoly, monokit.quaternion, monokit.legendre,

@@ -8,6 +8,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from monokit import mpoly
+from monokit.fueter import fueter_power
 from monokit.mpoly import MPoly, X0, X1, X2, Z1, Z2
 from monokit.quadrature import eval_terms
 from monokit.quaternion import E1, E2, Quaternion, parse_components, parse_frac_parts
@@ -43,6 +45,41 @@ def test_laplacian_factors_through_dirac():
     p = (Z1 * Z1 * Z2) + Fraction(3, 5) * (X0 * X1 * X2) * E2
     assert p.dirac_bar().dirac() == p.laplacian()
     assert p.dirac().dirac_bar() == p.laplacian()
+
+
+def test_harmonic_degree_is_the_same_before_and_after_dirac():
+    # harmonic but not monogenic; monogenic; monogenic but not homogeneous; neither
+    cases = [(lambda: X1 * X1 - X2 * X2, 2), (lambda: Z1 * Z2 + Z2 * Z1, 2),
+             (lambda: Z1 + MPoly.one(), None), (lambda: X0 * X0, None)]
+    for build, want in cases:
+        first, second = build(), build()
+        assert first.harmonic_degree() == want
+        first.dirac(), first.dirac_bar()
+        assert first.harmonic_degree() == want
+        second.dirac(), second.dirac_bar()
+        assert second.harmonic_degree() == want
+    assert (Z1 * Z2 + Z2 * Z1) / 2 == fueter_power(1, 1)
+
+
+def test_results_of_arithmetic_start_with_empty_memos():
+    f, g = X1 * X1 - X2 * X2, Z1 * Z2
+    for p in (f, g):  # fill every memo of the operands
+        p.harmonic_degree(), p.dirac(), p.terms, p.units
+    results = [f + g, f - g, -f, f * g, f * E1, E1 * f, f / 3, f.conjugate(), f.component(0),
+               f.partial(1), f.dirac(), f.laplacian(), MPoly.from_json(f.to_json())]
+    for p in results:
+        assert p._harmonic is mpoly._UNDECIDED
+        assert p._units is None and p._terms is None
+    assert (f * X0).harmonic_degree() == 3  # x0 times a harmonic stays harmonic
+    assert (f * X1).harmonic_degree() is None and (f + X0 * X0).harmonic_degree() is None
+
+
+def test_units_view_splits_the_terms_by_unit():
+    p = X0 * Quaternion(1, 0, Fraction(-2, 3), 0) + X1 * X2 * E1 * Fraction(5, 6)
+    assert p.den == 6
+    assert p.units == (((((1, 0, 0), 6),), (((0, 1, 1), 5),), (((1, 0, 0), -4),), ()))
+    assert p.units is p.units
+    assert MPoly.zero().units == ((), (), (), ())
 
 
 def test_euler_identity_on_homogeneous_parts():

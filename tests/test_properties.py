@@ -44,6 +44,7 @@ def test_mpoly_ring_laws(f, g, h):
 def test_dirac_factors_the_laplacian(f):
     assert f.dirac_bar().dirac() == f.laplacian()
     assert f.dirac().dirac_bar() == f.laplacian()
+    assert f.laplacian() == sum((f.partial(i).partial(i) for i in range(3)), MPoly.zero())
 
 
 @repeatable
