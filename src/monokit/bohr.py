@@ -34,9 +34,9 @@ of one exact quotient, equal in both routes, 1 at m = 0.  The constants family
 reads its supremum _e1_sc_sup, its lemma exactly 1/2.  No bound family samples.
 
 The empirical sweep draws each random admissible f as a coefficient vector
-over the basis; no polynomial is built or expanded per function.  Its 65 x 128
-theta-phi grid stays factored (columns cos, sin theta; a phi row), the kernel's
-factors of each block built once, and one buffer holds every block's values.
+over the basis; no polynomial is built or expanded per function.  Block sups take 65 x 64
+theta-phi nodes, phi in [0, pi) (a degree-n block is (-1)^n itself at -x), kept factored
+(cos, sin theta; phi), the kernel's factors of each block built once, one value buffer.
 """
 
 from __future__ import annotations
@@ -335,9 +335,9 @@ def verify_constants_ratio_lemma(k_max: int) -> BoundCheckReport:
 
 @lru_cache(maxsize=None)
 def _bohr_block_factors(n: int) -> tuple[np.ndarray, ...]:
-    """bin_factors of block n on the sum's 65 x 128 theta-phi grid on S, poles included."""
+    """bin_factors of block n at the sum's 65 x 64 theta-phi nodes, poles in, phi in [0, pi)."""
     theta = np.linspace(0.0, np.pi, 65)[:, None]
-    phi = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)[None, :]
+    phi = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)[None, :64]
     return bin_factors(block_table(n)[1], grid_powers(np.cos(theta), np.sin(theta), phi, n))
 
 
@@ -371,12 +371,12 @@ def random_test_function(rng: np.random.Generator, max_degree: int = 5) -> Fouri
 def empirical_bohr_sum(coeffs: FourierCoeffs, r: float) -> float:
     """sum over degree blocks of r^n sup_S |block_n|, the radius claim's left side.
 
-    Block n is sqrt(2n+3) { X^0 alpha_0 + sum_m (X^m alpha_m + Y^m beta_m) }
-    restricted to the sphere, its sup taken on a 65 x 128 theta-phi grid.
+    Block n is sqrt(2n+3) { X^0 alpha_0 + sum_m (X^m alpha_m + Y^m beta_m) } on S.  Its sup is
+    taken at 65 x 64 theta-phi nodes, phi in [0, pi), since block_n(-x) = (-1)^n block_n(x).
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"need 0 <= r < 1, got {r}")
-    buffer, square, total = np.empty(4 * 65 * 128), np.empty((65, 128)), 0.0
+    buffer, square, total = np.empty(4 * 65 * 64), np.empty((65, 64)), 0.0
     for n in range(coeffs.max_degree + 1):
         values = block_values(coeffs, n, _bohr_block_factors(n), buffer)
         np.einsum("k...,k...->...", values, values, out=square)  # |block|^2, no BLAS

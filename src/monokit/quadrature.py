@@ -275,7 +275,7 @@ def block_values(coeffs: FourierCoeffs, n: int, factors, out=None) -> np.ndarray
     One einsum (no BLAS) contracts the weights sqrt(2n+3) alpha / norm_S with block_table.
     """
     scale = np.asarray(coeffs.block(n), dtype=float) * math.sqrt(2 * n + 3)
-    scale = scale / sphere_norms(basis_for_degree(n))
+    scale = scale / _element_scales(n)[2][n * (n + 2):]  # block n's norms come last
     return eval_bins(np.einsum("i,i...->...", scale, block_table(n)[0])[None], factors, out)[0]
 
 

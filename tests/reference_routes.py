@@ -11,9 +11,10 @@ weights with the padded block table instead and evaluates it with eval_bins.
 block_table_loop fills that table term by term, the reference of
 quadrature.bin_table.  eval_bins_slot_loop is the earlier form of the float
 kernel, quadrature.eval_bins: it loops over the slots and contracts each
-live (element, component) in its own einsum.  sphere_grid(65, 128) is the
-grid of bohr.empirical_bohr_sum, and sphere_pairs_full the one full node
-reduction that quadrature.sphere_gram halves.
+live (element, component) in its own einsum.  sphere_grid(65, 128) is a kernel
+test grid; its first 64 phi nodes are those of bohr.empirical_bohr_sum, which
+takes each block's sup there and at their antipodes.  sphere_pairs_full is the
+one full node reduction that quadrature.sphere_gram halves.
 
 printed_axial_expansion and printed_taylor_sums transcribe the printed
 beta_{n+1,l,k} formulas verbatim: the component-wise axial expansion of

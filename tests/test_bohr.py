@@ -14,8 +14,9 @@ from monokit.bohr import (bohr_radius, coefficient_domination, empirical_bohr_su
                           verify_corollary_bounds, verify_pointwise_bounds,
                           verify_sc_ratio_lemmas, verify_scalar_part_bounds)
 from monokit.moments import norm_sq_sphere
-from monokit.quadrature import (FourierCoeffs, QuadratureRule, block_values, eval_terms,
-                                fourier_expand, fourier_synthesize)
+from monokit.quadrature import (FourierCoeffs, QuadratureRule, bin_factors, block_table,
+                                block_values, eval_terms, fourier_expand, fourier_synthesize,
+                                grid_powers)
 from reference_routes import (assoc_legendre_float, block_terms, eval_grid,
                               series_f1_threshold_truncated, series_f2_threshold_truncated,
                               series_s1_truncated, series_s2_truncated, sphere_grid)
@@ -364,29 +365,64 @@ def test_empirical_sum_matches_per_element_reference():
     assert empirical_bohr_sum(coeffs, r) == pytest.approx(reference, rel=1e-13)
 
 
-def _per_block_bohr_sum(coeffs, r):
-    # reference: each block folded to one term list and evaluated by eval_terms
-    grid = sphere_grid(65, 128)
+def _half_grid():
+    """The first 64 of the 128 phi nodes of the 65 x 128 sphere grid: phi in [0, pi)."""
+    x0, rho, phi = sphere_grid(65, 128)
+    return x0, rho, phi[:, :64]
+
+
+def _normal_draw(rng, max_degree=8):
+    return FourierCoeffs(max_degree, {(ix.n, ix.label): float(rng.normal())
+                                      for n in range(max_degree + 1) for ix in degree_indices(n)})
+
+
+def _per_block_bohr_sum(coeffs, r, grids):
+    # reference: each block folded to one term list, evaluated by eval_terms on every grid
     total = 0.0
     for n in range(coeffs.max_degree + 1):
-        values = eval_terms(block_terms(n, coeffs.block(n)), *grid)
-        total += r ** n * math.sqrt((values ** 2).sum(axis=-1).max())
+        terms = block_terms(n, coeffs.block(n))
+        total += r ** n * math.sqrt(max((eval_terms(terms, *grid) ** 2).sum(axis=-1).max()
+                                        for grid in grids))
     return total
+
+
+def test_blocks_flip_sign_exactly_at_the_antipodes_of_the_half_grid():
+    # the premise of the 65 x 64 sup: block n at (-x0, -rho, phi) is (-1)^n times its value at
+    # (x0, rho, phi), in every bit but the sign of a zero (+ 0.0 clears that sign on both sides)
+    x0, rho, phi = _half_grid()
+    coeffs = _normal_draw(np.random.default_rng(29))
+    for n in range(9):
+        sign = (-1.0) ** n
+        terms = block_terms(n, coeffs.block(n))
+        here, there = eval_terms(terms, x0, rho, phi), eval_terms(terms, -x0, -rho, phi)
+        assert np.count_nonzero(here) >= 3 * here.size // 4
+        assert (sign * here + 0.0).tobytes() == (there + 0.0).tobytes()
+        factors = bohr_mod._bohr_block_factors(n)
+        assert [f.shape[-2:] for f in factors] == [(1, 64), (1, 64), (65, 1)]
+        antipodes = bin_factors(block_table(n)[1], grid_powers(-x0, -rho, phi, n))
+        here, there = block_values(coeffs, n, factors), block_values(coeffs, n, antipodes)
+        assert here.shape == (4, 65, 64)
+        assert (sign * here + 0.0).tobytes() == (there + 0.0).tobytes()
 
 
 def test_empirical_sum_equals_the_per_block_route_bit_for_bit():
     rng = np.random.default_rng(23)
     draws = [random_test_function(rng) for _ in range(20)]
-    draws.append(FourierCoeffs(8, {(ix.n, ix.label): float(rng.normal())
-                                   for n in range(9) for ix in degree_indices(n)}))
+    draws.append(_normal_draw(rng))
+    x0, rho, phi = _half_grid()
+    closed = [(x0, rho, phi), (-x0, -rho, phi)]  # the half grid closed under x -> -x
     for coeffs in draws:
         for r in (0.049, 0.9):
-            assert empirical_bohr_sum(coeffs, r) == _per_block_bohr_sum(coeffs, r)
-    # the blocks themselves, on every node of the grid
-    grid = sphere_grid(65, 128)
+            got = empirical_bohr_sum(coeffs, r)
+            assert got == _per_block_bohr_sum(coeffs, r, closed)
+            # the open 65 x 128 grid, with no exact antipodes, gives the sup to roundoff
+            assert got == pytest.approx(_per_block_bohr_sum(coeffs, r, [sphere_grid(65, 128)]),
+                                        rel=1e-15, abs=0.0)
+    # the blocks themselves, on every node of the half grid
     for n in range(9):
         values = np.moveaxis(block_values(draws[-1], n, bohr_mod._bohr_block_factors(n)), 0, -1)
-        assert values.tobytes() == eval_terms(block_terms(n, draws[-1].block(n)), *grid).tobytes()
+        want = eval_terms(block_terms(n, draws[-1].block(n)), x0, rho, phi)
+        assert values.tobytes() == want.tobytes()
 
 
 def test_empirical_sweep_small():
