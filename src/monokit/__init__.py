@@ -19,8 +19,8 @@ from .legendre import assoc_body, legendre_coeffs
 from .moments import (ball_moment, inner_ball, inner_sphere, norm_sq_ball, norm_sq_sphere,
                       sphere_moment)
 from .mpoly import MPoly, X0, X1, X2, Z1, Z2
-from .quadrature import (FourierCoeffs, QuadratureRule, fourier_expand,
-                         fourier_synthesize, gram_matrix_ball, gram_matrix_quaternion)
+from .quadrature import (FourierCoeffs, QuadratureRule, fourier_expand, gram_matrix_ball,
+                         gram_matrix_quaternion)
 from .quaternion import E1, E2, E3, ONE, Quaternion, ZERO, reduced
 
 __version__ = "0.1.0"
@@ -31,7 +31,7 @@ __all__ = [
     "X0", "X1", "X2", "Z1", "Z2", "ZERO",
     "assoc_body", "ball_moment", "basis_for_degree",
     "bohr_radius", "coefficient_domination", "degree_indices", "empirical_bohr_sum",
-    "empirical_bohr_sweep", "fourier_expand", "fourier_synthesize", "fueter_power",
+    "empirical_bohr_sweep", "fourier_expand", "fueter_power",
     "gram_matrix_ball", "gram_matrix_quaternion", "inner_ball", "inner_sphere",
     "legendre_coeffs", "norm_sq_ball", "norm_sq_sphere", "norm_sq_sphere_closed",
     "random_test_function", "reduced", "sc_e1_norm_sq_closed", "sc_norm_sq_closed",

@@ -23,7 +23,7 @@ dirac decides the harmonic premise (harmonic_degree, kept once per
 polynomial).  Both are one pass over the integer terms, in which left
 multiplication by e1 and e2 permutes the components with signs.
 
-Floats are evaluated in quadrature, whose eval_terms reads float_terms.  Exact
+Floats are evaluated in quadrature, whose bin_table reads float_terms.  Exact
 evaluation at a rational point is a test reference (tests/reference_routes.py).
 
 Example
@@ -288,7 +288,7 @@ class MPoly:
     # -- serialization ----------------------------------------------------------
 
     def float_terms(self) -> list[tuple[Exponent, tuple[float, ...]]]:
-        """Sorted (exponent, 4 floats) terms, the input of quadrature.eval_terms."""
+        """Sorted (exponent, 4 floats) terms, the input of quadrature.bin_table."""
         den = self.den  # int / int rounds correctly, as float(Fraction) does
         return [(e, (a / den, b / den, c / den, d / den))
                 for e, (a, b, c, d) in sorted(self.ints.items())]

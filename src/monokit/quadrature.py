@@ -13,16 +13,27 @@ this module is binary64; the exact counterparts live in the moments module
 and are used by the tests to pin these numbers down, as are the pairwise
 quadrature products in tests/reference_routes.py.
 
-Floats are evaluated at (x0, rho, phi), x1 = rho cos phi, x2 = rho sin phi, by one kernel,
-eval_bins: two einsums over a padded table binned by the x0 and rho powers (x0^a x1^b x2^c is
-x0^a rho^(b+c) cos^b sin^c) and the factors of its bins at the points, bin_factors.  One
-builder, bin_table, lays every table out: eval_terms' for one term list, block_table's for one
-degree block of the basis, which basis_samples evaluates and block_values folds into one
-coefficient per monomial.  Float inner products reduce the memoized basis_samples by np.einsum
-without BLAS, so reruns are byte-identical; sphere_gram takes all component pairs at once.
+Floats are evaluated on tensor theta-phi grids, x0 and rho as (n, 1) columns and phi as a
+(1, n_phi) row, x1 = rho cos phi, x2 = rho sin phi, by one kernel, eval_bins: two einsums over
+a padded table binned by the x0 and rho powers (x0^a x1^b x2^c is x0^a rho^(b+c) cos^b sin^c)
+and the factors of its bins on the grid, bin_factors.  One builder, bin_table, lays every table
+out: fourier_expand's for one term list, block_table's for one degree block of the basis, which
+basis_samples evaluates and block_values folds into one coefficient per monomial.  Float inner
+products reduce the memoized basis_samples by np.einsum without BLAS, so reruns are
+byte-identical; sphere_gram takes all component pairs at once.
 
->>> eval_terms([((1, 0, 0), (2.0, 0.0, 0.0, 0.0))], 0.5, 0.0, 0.0)
-array([1., 0., 0., 0.])
+>>> table, bins = bin_table([[((1, 0, 0), (2.0, 0.0, 0.0, 0.0)),   # 2 x0 + x1 e1
+...                            ((0, 1, 0), (0.0, 1.0, 0.0, 0.0))]])
+>>> x0, rho, phi = np.array([[0.6], [0.0]]), np.array([[0.8], [1.0]]), np.array([[0.0, np.pi]])
+>>> values = eval_bins(table, bin_factors(bins, grid_powers(x0, rho, phi, 1)))
+>>> values.shape
+(1, 4, 2, 2)
+>>> values[0, :2]
+array([[[ 1.2,  1.2],
+        [ 0. ,  0. ]],
+<BLANKLINE>
+       [[ 0.8, -0.8],
+        [ 1. , -1. ]]])
 """
 
 from __future__ import annotations
@@ -50,19 +61,17 @@ def _powers(v: np.ndarray, top: int) -> np.ndarray:
     table = np.empty((top + 1,) + v.shape)
     table[0] = 1.0
     for k in range(1, top + 1):
-        # table[k, ...] stays an array view when v is 0-d; table[k] would not
-        np.multiply(table[k - 1], v, out=table[k, ...])
+        np.multiply(table[k - 1], v, out=table[k])
     return _read_only(table)[0]
 
 
 def grid_powers(x0, rho, phi, top: int) -> tuple[np.ndarray, ...]:
-    """x0^k, rho^k on their broadcast shape and cos^k, sin^k of phi on its shape, k = 0..top."""
-    x0, rho = np.broadcast_arrays(np.asarray(x0, dtype=float), np.asarray(rho, dtype=float))
+    """x0^k, rho^k on the (n, 1) columns and cos^k, sin^k of the (1, n_phi) row phi, k = 0..top."""
     return tuple(_powers(v, top) for v in (x0, rho, np.cos(phi), np.sin(phi)))
 
 
 def bin_factors(bins, powers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """eval_bins' factors of bins at the points of powers (grid_powers), read-only: cos^b per
+    """eval_bins' factors of bins on the grid of powers (grid_powers), read-only: cos^b per
     slot b, sin^(s-b) per bin and slot (sin^0 past s) and x0^a rho^s per bin (a, s)."""
     x0_pow, rho_pow, cos_pow, sin_pow = powers
     a, s = np.array(bins, dtype=int).reshape(-1, 2).T
@@ -71,24 +80,21 @@ def bin_factors(bins, powers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def eval_bins(table, factors, out=None) -> np.ndarray:
-    """The float kernel: E tables of bin_table at the points of bin_factors; (E, 4) + grid.
+    """The float kernel: E tables of bin_table on the grid of bin_factors; (E, 4, n, n_phi).
 
-    One einsum sums the rows (comps * cos^b) * sin^(s-b) over the slots from zero in ascending b,
-    one more (no BLAS) the rows times the radial columns over the bins in order: on a tensor grid
-    (x0 (n, 1), phi (1, n_phi)) along rows of all E * 4 * n_phi values, into a contiguous buffer
-    of E * 4 * grid-size floats (out, if given) of which the result is a view."""
+    radial is (bins, n, 1) and cos_rows (slots, 1, n_phi).  One einsum sums the rows
+    (comps * cos^b) * sin^(s-b) over the slots from zero in ascending b, one more (no BLAS) the
+    rows times the radial columns over the bins in order, along rows of all E * 4 * n_phi values,
+    into a contiguous buffer of E * 4 * n * n_phi floats (out, if given) of which the result is
+    a view."""
     cos_rows, sin_rows, radial = factors
     n_e, n_k, n_bins = table.shape[:3]
-    grid = np.broadcast_shapes(radial.shape[1:], cos_rows.shape[1:])
-    out = np.empty(n_e * n_k * math.prod(grid)) if out is None else out
-    tensor = radial.shape[2:] == cos_rows.shape[1:-1] == (1,) and math.prod(grid) > 1
-    rows = np.einsum("ekib,b...,ib...->" + ("iek..." if tensor else "eki..."), table, cos_rows,
-                     sin_rows, order="C")
-    if not tensor:  # one point sums as one dot product, scattered points along the points
-        return np.einsum("ekb...,b...->ek...", rows, radial, out=out.reshape((n_e, n_k) + grid))
-    np.einsum("b...,b...->...", radial, rows.reshape(n_bins, n_e * n_k * grid[-1]),
-              out=out.reshape(grid[:-1] + (-1,)))
-    return np.moveaxis(out.reshape(grid[:-1] + (n_e, n_k, -1)), (-3, -2), (0, 1))
+    n, n_phi = radial.shape[1], cos_rows.shape[-1]
+    out = np.empty(n_e * n_k * n * n_phi) if out is None else out
+    rows = np.einsum("ekib,b...,ib...->iek...", table, cos_rows, sin_rows, order="C")
+    np.einsum("b...,b...->...", radial, rows.reshape(n_bins, n_e * n_k * n_phi),
+              out=out.reshape(n, -1))
+    return np.moveaxis(out.reshape(n, n_e, n_k, n_phi), 0, 2)
 
 
 def bin_table(term_lists) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
@@ -112,13 +118,6 @@ def bin_table(term_lists) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
     np.add.at(table, (element, slice(None), np.searchsorted(bins, keys), b),
               np.array(values, dtype=float).reshape(-1, 4))
     return table, tuple(divmod(key, width) for key in bins)
-
-
-def eval_terms(terms, x0, rho, phi) -> np.ndarray:
-    """(exponent, 4 floats) terms in any order at x1 = rho cos phi, x2 = rho sin phi; grid+(4,)."""
-    table, bins = bin_table([terms])
-    powers = grid_powers(x0, rho, phi, max(map(max, bins), default=0))
-    return np.moveaxis(np.ascontiguousarray(eval_bins(table, bin_factors(bins, powers))[0]), 0, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +149,7 @@ class QuadratureRule:
 
     @lru_cache(maxsize=None)
     def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The node grid as eval_terms takes it: x0 = t and rho as (n_t, 1), phi as (1, n_phi)."""
+        """The node grid as grid_powers takes it: x0 = t and rho as (n_t, 1), phi as (1, n_phi)."""
         t = self.t_nodes[:, None]
         phi = 2.0 * np.pi * (np.arange(self.n_phi) + 0.5) / self.n_phi
         return _read_only(t, np.sqrt(1.0 - t * t), phi[None, :])
@@ -217,11 +216,6 @@ def basis_samples(rule: QuadratureRule, max_degree: int) -> np.ndarray:
     return _read_only(np.moveaxis(np.ascontiguousarray(samples), 1, -1))[0]  # strides: sum order
 
 
-def sphere_norms(elements) -> np.ndarray:
-    """Float L2(S) norms of the elements, in order."""
-    return np.array([e.norm_S for e in elements])
-
-
 def radial_pairs(degrees: np.ndarray) -> np.ndarray:
     """radial_moment(n + k + 2) for every pair of element degrees, shape (E, E)."""
     table = np.array([radial_moment(k + 2) for k in range(2 * degrees.max() + 1)])
@@ -234,7 +228,7 @@ def _element_scales(max_degree: int) -> tuple[list, np.ndarray, np.ndarray, np.n
     elements = basis_elements(max_degree)
     degrees = np.array([e.index.n for e in elements])
     return ([(e.index.n, e.index.label) for e in elements],
-            *_read_only(degrees, sphere_norms(elements), np.sqrt(2 * degrees + 3)))
+            *_read_only(degrees, np.array([e.norm_S for e in elements]), np.sqrt(2 * degrees + 3)))
 
 
 def fourier_expand(f: MPoly, max_degree: int, rule: QuadratureRule) -> FourierCoeffs:
@@ -270,20 +264,13 @@ def block_table(n: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
 
 
 def block_values(coeffs: FourierCoeffs, n: int, factors, out=None) -> np.ndarray:
-    """Block n of the series at the points of its bin_factors, (4,) + grid; out as in eval_bins.
+    """Block n of the series on the grid of its bin_factors, (4, n, n_phi); out as in eval_bins.
 
     One einsum (no BLAS) contracts the weights sqrt(2n+3) alpha / norm_S with block_table.
     """
     scale = np.asarray(coeffs.block(n), dtype=float) * math.sqrt(2 * n + 3)
     scale = scale / _element_scales(n)[2][n * (n + 2):]  # block n's norms come last
     return eval_bins(np.einsum("i,i...->...", scale, block_table(n)[0])[None], factors, out)[0]
-
-
-def fourier_synthesize(coeffs: FourierCoeffs, x0, rho, phi) -> np.ndarray:
-    """The truncated series at (x0, rho, phi), as eval_terms, block by block; grid+(4,)."""
-    powers = grid_powers(x0, rho, phi, coeffs.max_degree)
-    return np.moveaxis(sum(block_values(coeffs, n, bin_factors(block_table(n)[1], powers))
-                           for n in range(coeffs.max_degree + 1)), 0, -1)
 
 
 @lru_cache(maxsize=None)
@@ -325,5 +312,5 @@ def gram_matrix_quaternion(n: int) -> np.ndarray:
     product, while the quaternion-valued products keep nonzero vector
     parts.  Reported for inspection, never asserted diagonal.
     """
-    norms = sphere_norms(basis_for_degree(n))  # the degree-n elements come last
+    norms = _element_scales(n)[2][n * (n + 2):]  # block n's norms come last
     return sphere_gram(n)[-len(norms):, -len(norms):] / np.outer(norms, norms)[..., None]

@@ -23,8 +23,8 @@ from .basis import (BETA_VARIANTS, axial_closed_form, basis_elements,
                     norm_sq_sphere_closed, sc_e1_norm_sq_closed, sc_norm_sq_closed,
                     spherical_monogenic)
 from .fueter import polarization_match, taylor_coefficients, taylor_reconstruct
-from .quadrature import (QuadratureRule, basis_samples, gram_matrix_ball, radial_pairs,
-                         sphere_gram, sphere_norms)
+from .quadrature import (QuadratureRule, _element_scales, basis_samples, gram_matrix_ball,
+                         radial_pairs, sphere_gram)
 
 SCHEMA = "monogenics-kit/1"
 
@@ -123,13 +123,11 @@ def check_ball_sphere_relation(max_degree: int) -> dict:
     its own radial quadrature, compared entrywise after scaling by the
     sphere-norm product so the tolerance is relative.
     """
-    elements = basis_elements(max_degree)
+    _, n, norms, _ = _element_scales(max_degree)
     sphere = sphere_gram(max_degree)
-    n = np.array([e.index.n for e in elements])
     ball = sphere * radial_pairs(n)[..., None]
     same_degree = (n[:, None] == n[None, :])[..., None]
     expected = np.where(same_degree, sphere / (2 * n + 3)[:, None, None], 0.0)
-    norms = sphere_norms(elements)
     worst = float((np.abs(ball - expected).max(axis=-1) / np.outer(norms, norms)).max())
     return {
         "max_degree": max_degree,

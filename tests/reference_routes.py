@@ -4,14 +4,17 @@ The package keeps what the report, the command line, the demos and the
 benchmark run; every independent route that the tests compare it against
 lives here.
 
+eval_terms runs the float kernel, quadrature.eval_bins, on one term list (a
+one-element bin_table) over a tensor grid: the per-element route that the
+batched package paths must equal bit for bit.  fourier_synthesize adds the
+blocks of a series on a tensor grid, each through quadrature.block_values.
 block_terms folds one degree block of a Fourier series into one float
-coefficient per monomial of the block; quadrature.eval_terms then evaluates
-that term list as one polynomial.  quadrature.block_values contracts the same
-weights with the padded block table instead and evaluates it with eval_bins.
-block_table_loop fills that table term by term, the reference of
-quadrature.bin_table.  eval_bins_slot_loop is the earlier form of the float
-kernel, quadrature.eval_bins: it loops over the slots and contracts each
-live (element, component) in its own einsum.  sphere_grid(65, 128) is a kernel
+coefficient per monomial of the block; eval_terms then evaluates that term
+list as one polynomial.  quadrature.block_values contracts the same weights
+with the padded block table instead.  block_table_loop fills that table term
+by term, the reference of quadrature.bin_table.  eval_bins_slot_loop is the
+earlier form of the float kernel: it loops over the slots, then adds the bins
+one at a time for each element.  sphere_grid(65, 128) is a kernel
 test grid; its first 64 phi nodes are those of bohr.empirical_bohr_sum, which
 takes each block's sup there and at their antipodes.  sphere_pairs_full is the
 one full node reduction that quadrature.sphere_gram halves.
@@ -23,7 +26,9 @@ builds the first as dirac_bar of one scalar polynomial, and report.taylor_agreem
 reads the second as that polynomial's x0-free coefficients.
 
 evaluate and eval_grid evaluate an MPoly exactly at a rational point (built
-by point) and in floats at Cartesian points.  The pairwise quadrature products
+by point) and in floats at Cartesian points, term by term through
+eval_points, which shares nothing with the kernel; the Legendre float values
+are summed term by term too.  The pairwise quadrature products
 (inner_product_S, inner_product_B) are the reference of the batched Grams,
 the quaternion-valued moment integrals (inner_sphere_h, inner_ball_h) that of
 the real-product kernel of moments, and pair_real_product, that kernel's
@@ -48,8 +53,9 @@ from monokit.fueter import fueter_power
 from monokit.legendre import assoc_body, double_factorial
 from monokit.moments import _numerator, ball_moment, sphere_moment
 from monokit.mpoly import MPoly, X0, Z1, Z2
-from monokit.quadrature import (_CONJ_TABLE, QuadratureRule, basis_samples, eval_terms,
-                                radial_moment, sphere_norms)
+from monokit.quadrature import (_CONJ_TABLE, QuadratureRule, basis_samples, bin_factors,
+                                bin_table, block_table, block_values, eval_bins, grid_powers,
+                                radial_moment)
 from monokit.quaternion import Quaternion, Rational, frac
 
 Point3 = tuple[Fraction, Fraction, Fraction]
@@ -62,8 +68,22 @@ def block_terms(n, alphas):
     rows = [dict(e.poly.float_terms()) for e in elements]
     table = np.array([[row.get(exp, (0.0,) * 4) for exp in exps] for row in rows])
     scale = np.asarray(alphas, dtype=float) * math.sqrt(2 * n + 3)
-    scale = scale / sphere_norms(elements)
+    scale = scale / np.array([e.norm_S for e in elements])
     return list(zip(exps, np.einsum("i,imc->mc", scale, table)))
+
+
+def eval_terms(terms, x0, rho, phi) -> np.ndarray:
+    """(exponent, 4 floats) terms in any order on a tensor grid, by the kernel; (n, n_phi, 4)."""
+    table, bins = bin_table([terms])
+    powers = grid_powers(x0, rho, phi, max(map(max, bins), default=0))
+    return np.moveaxis(np.ascontiguousarray(eval_bins(table, bin_factors(bins, powers))[0]), 0, -1)
+
+
+def fourier_synthesize(coeffs, x0, rho, phi) -> np.ndarray:
+    """The truncated series on a tensor grid, blocks added in ascending degree; (n, n_phi, 4)."""
+    powers = grid_powers(x0, rho, phi, coeffs.max_degree)
+    return np.moveaxis(sum(block_values(coeffs, n, bin_factors(block_table(n)[1], powers))
+                           for n in range(coeffs.max_degree + 1)), 0, -1)
 
 
 def block_table_loop(n):
@@ -76,15 +96,15 @@ def block_table_loop(n):
 
 
 def eval_bins_slot_loop(table, bins, powers) -> np.ndarray:
-    """The float kernel: E tables of bin_table at the points of powers (grid_powers); (E, 4) + grid.
+    """The float kernel: E tables of bin_table on the grid of powers (grid_powers); (E, 4) + grid.
 
-    Rows comps * cos^b * sin^(s-b) are summed slot by slot from zero in ascending b; each live
-    (e, k) is then one einsum (no BLAS) over the bins, in order, with the columns x0^a rho^s.
+    Rows comps * cos^b * sin^(s-b) are summed slot by slot from zero in ascending b, and the
+    rows times the columns x0^a rho^s from zero, one bin at a time, in order; components that are
+    zero in every table are skipped.
     """
     x0_pow, rho_pow, cos_pow, sin_pow = powers
     a, s = np.asarray(bins, dtype=int).reshape(-1, 2).T
-    live = table.any(axis=(2, 3))
-    comps = np.flatnonzero(live.any(axis=0))
+    comps = np.flatnonzero(table.any(axis=(0, 2, 3)))
     coeffs = table[:, comps][(...,) + (None,) * (cos_pow.ndim - 1)]  # onto the phi shape
     rows = np.zeros(coeffs.shape[:3] + cos_pow.shape[1:])
     term = np.empty_like(rows)  # one buffer for the products of every slot
@@ -92,11 +112,12 @@ def eval_bins_slot_loop(table, bins, powers) -> np.ndarray:
         np.multiply(coeffs[:, :, :, b], cos_pow[b], out=term)
         rows += np.multiply(term, sin_pow[np.maximum(s - b, 0)], out=term)
     radial = x0_pow[a] * rho_pow[s]
-    out = np.empty(table.shape[:2] + np.broadcast_shapes(radial.shape[1:], cos_pow.shape[1:]))
-    out[~live] = 0.0  # einsum zeroes the live ones before it adds
-    for e, i in zip(*np.nonzero(live[:, comps])):
-        # out[e, k, ...] stays an array view when the points are 0-d; out[e, k] would not
-        np.einsum("b...,b...->...", radial, rows[e, i], out=out[e, comps[i], ...])
+    sums = np.zeros(rows.shape[:2] + np.broadcast_shapes(radial.shape[1:], cos_pow.shape[1:]))
+    for element, element_rows in zip(sums, rows):
+        for column, row in zip(radial, np.moveaxis(element_rows, 1, 0)):
+            element += column * row
+    out = np.zeros(table.shape[:2] + sums.shape[2:])
+    out[:, comps] = sums
     return out
 
 
@@ -107,7 +128,7 @@ def sphere_pairs_full(rule, max_degree):
 
 
 def sphere_grid(n_theta, n_phi):
-    """Theta-phi grid on S, poles included, as eval_terms takes it: cos, sin theta; phi."""
+    """Theta-phi grid on S, poles included, as grid_powers takes it: cos, sin theta; phi."""
     theta = np.linspace(0.0, np.pi, n_theta)[:, None]
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)[None, :]
     return np.cos(theta), np.sin(theta), phi
@@ -245,9 +266,22 @@ def evaluate(poly: MPoly, at: Point3) -> Quaternion:
     return total
 
 
+def eval_points(terms, x0, x1, x2) -> np.ndarray:
+    """(exponent, 4 floats) terms at Cartesian points (broadcastable), term by term; grid+(4,).
+
+    Each coordinate's powers are built once per call, by repeated multiplication."""
+    x0, x1, x2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x0, x1, x2)))
+    top = max((max(exp) for exp, _ in terms), default=0)
+    p0, p1, p2 = (np.cumprod([np.ones_like(v)] + [v] * top, axis=0) for v in (x0, x1, x2))
+    out = np.zeros(x0.shape + (4,))
+    for (a, b, c), comps in terms:
+        out += (p0[a] * p1[b] * p2[c])[..., None] * comps
+    return out
+
+
 def eval_grid(poly: MPoly, x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Float evaluation at Cartesian points (broadcastable arrays); grid+(4,)."""
-    return eval_terms(poly.float_terms(), x0, np.hypot(x1, x2), np.arctan2(x2, x1))
+    return eval_points(poly.float_terms(), x0, x1, x2)
 
 
 # -- pairwise quadrature products -------------------------------------------------------
@@ -331,8 +365,8 @@ def norm_sq_ball_closed(n: int, m: int) -> Fraction:
 
 # -- Legendre identities ----------------------------------------------------------------
 # Bodies of legendre.assoc_body go through MPoly in the variable x0 = t, so
-# their identities are MPoly equalities and their float values come from
-# eval_terms.
+# their identities are MPoly equalities; their float values are summed term
+# by term from the powers of t.
 
 def _x0_poly(coeffs) -> MPoly:
     """The polynomial sum_k coeffs[k] x0^k."""
@@ -340,8 +374,13 @@ def _x0_poly(coeffs) -> MPoly:
 
 
 def _eval_x0(poly: MPoly, t) -> np.ndarray:
-    """Float values of a real polynomial in x0 at x0 = t, through eval_terms."""
-    return eval_terms(poly.float_terms(), t, 0.0, 0.0)[..., 0]
+    """Float values of a real polynomial in x0 at x0 = t, term by term as in eval_points."""
+    t = np.asarray(t, dtype=float)
+    powers = np.cumprod([np.ones_like(t)] + [t] * max(poly.degree(), 0), axis=0)
+    out = np.zeros_like(t)
+    for (a, _, _), comps in poly.float_terms():
+        out += powers[a] * comps[0]
+    return out
 
 
 _ONE_MINUS_T2 = MPoly.one() - X0 * X0

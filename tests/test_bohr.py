@@ -15,11 +15,11 @@ from monokit.bohr import (bohr_radius, coefficient_domination, empirical_bohr_su
                           verify_sc_ratio_lemmas, verify_scalar_part_bounds)
 from monokit.moments import norm_sq_sphere
 from monokit.quadrature import (FourierCoeffs, QuadratureRule, bin_factors, block_table,
-                                block_values, eval_terms, fourier_expand, fourier_synthesize,
-                                grid_powers)
-from reference_routes import (assoc_legendre_float, block_terms, eval_grid,
-                              series_f1_threshold_truncated, series_f2_threshold_truncated,
-                              series_s1_truncated, series_s2_truncated, sphere_grid)
+                                block_values, fourier_expand, grid_powers)
+from reference_routes import (assoc_legendre_float, block_terms, eval_grid, eval_terms,
+                              fourier_synthesize, series_f1_threshold_truncated,
+                              series_f2_threshold_truncated, series_s1_truncated,
+                              series_s2_truncated, sphere_grid)
 
 R1 = 0.049583846938703394
 R2 = 0.5695633074465153

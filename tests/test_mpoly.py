@@ -11,9 +11,9 @@ import pytest
 from monokit import mpoly
 from monokit.fueter import fueter_power
 from monokit.mpoly import MPoly, X0, X1, X2, Z1, Z2
-from monokit.quadrature import eval_terms
+from monokit.quadrature import QuadratureRule
 from monokit.quaternion import E1, E2, Quaternion, parse_components, parse_frac_parts
-from reference_routes import block_terms, eval_grid, evaluate, point, sphere_grid
+from reference_routes import block_terms, eval_grid, eval_terms, evaluate, point, sphere_grid
 
 
 def test_construction_and_degree():
@@ -135,10 +135,11 @@ def _per_term_reference(terms, x0, x1, x2, monomials=None):
 
 
 def _factored_grids():
-    from monokit.quadrature import QuadratureRule
-    # the last is the Legendre shape: x0 of shape (N,), scalar rho = phi = 0
+    # the fourth is the x0 axis as a tensor grid (x0 of shape (201, 1), rho = 0, one phi = 0),
+    # the last a one-node grid
     return [QuadratureRule.for_degree(16).grid(), sphere_grid(121, 240), sphere_grid(65, 128),
-            (np.linspace(-1.0, 1.0, 201), 0.0, 0.0)]
+            (np.linspace(-1.0, 1.0, 201)[:, None], np.zeros((201, 1)), np.zeros((1, 1))),
+            (np.array([[0.3]]), np.array([[0.4]]), np.array([[1.1]]))]
 
 
 @lru_cache(maxsize=None)
@@ -184,20 +185,17 @@ def test_eval_grid_at_scattered_points_matches_per_term_reference():
 
 
 def test_eval_terms_does_not_depend_on_term_order():
-    rng = np.random.default_rng(11)
-    x0, x1, x2 = rng.uniform(-1.0, 1.0, size=(3, 300))
-    points = (x0, np.hypot(x1, x2), np.arctan2(x2, x1))
     # a repeated exponent adds, so reversing its two terms must not change the sum
     repeated = [((2, 1, 0), (1.5, -2.0, 0.0, 0.25)), ((0, 0, 3), (0.5, 0.5, 1.0, -1.0)),
                 ((2, 1, 0), (0.125, 3.0, -1.0, 0.0))]
     for terms in _term_lists() + (repeated,):
-        for at in (sphere_grid(65, 128), points):
+        for at in (sphere_grid(65, 128), QuadratureRule.for_degree(16).grid()):
             assert np.array_equal(eval_terms(terms, *at), eval_terms(reversed(terms), *at))
 
 
 def _binned_loop_reference(terms, x0, rho, phi):
     # reference: the bin-by-bin loop, which adds radial * row into the output
-    # one bin at a time, in sorted order; eval_terms must give the same bits
+    # one bin at a time, in sorted order; the kernel must give the same bits
     x0, rho = np.broadcast_arrays(np.asarray(x0, dtype=float), np.asarray(rho, dtype=float))
     phi = np.asarray(phi, dtype=float)
     out = np.zeros((4,) + np.broadcast_shapes(x0.shape, phi.shape))
@@ -223,20 +221,10 @@ def _power(v, k):
 
 
 def test_eval_terms_equals_the_binned_loop_bit_for_bit():
-    rng = np.random.default_rng(17)
-    x0, x1, x2 = rng.uniform(-1.0, 1.0, size=(3, 300))
-    scattered = (x0, np.hypot(x1, x2), np.arctan2(x2, x1))
-    for at in _factored_grids() + [scattered]:
+    # on every grid, the one-node grid included
+    for at in _factored_grids():
         for terms in _term_lists():
             assert np.array_equal(eval_terms(terms, *at), _binned_loop_reference(terms, *at))
-    # a one-point output is one dot product over the bins, which einsum may
-    # vectorize; it equals the one-element array bit for bit, the loop to 1e-13
-    for terms in _term_lists():
-        got = eval_terms(terms, 0.3, 0.4, 1.1)
-        assert got.shape == (4,)
-        assert np.array_equal(got, eval_terms(terms, np.array([0.3]), [0.4], [1.1])[0])
-        want = _binned_loop_reference(terms, 0.3, 0.4, 1.1)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_eval_terms_of_no_terms_is_zero():

@@ -6,18 +6,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from monokit import quadrature
 from monokit.basis import basis_elements, basis_for_degree
-from monokit.bohr import _bohr_block_factors
+from monokit.bohr import _bohr_block_factors, empirical_bohr_sum, random_test_function
 from monokit.moments import inner_sphere, sphere_moment
 from monokit.mpoly import MPoly, X0, X1, X2
 from monokit.quadrature import (_CONJ_TABLE, FourierCoeffs, QuadratureRule, basis_samples,
-                                bin_factors, bin_table, block_table, eval_bins, eval_terms,
-                                fourier_expand, fourier_synthesize, gram_matrix_ball,
-                                gram_matrix_quaternion, grid_powers, radial_moment, sphere_gram,
-                                sphere_norms)
-from reference_routes import (block_table_loop, eval_bins_slot_loop, eval_grid, inner_ball_h,
-                              inner_product_B, inner_product_S, inner_sphere_h,
-                              sc_inner_product_S, sphere_grid, sphere_pairs_full)
+                                bin_factors, bin_table, block_table, eval_bins, fourier_expand,
+                                gram_matrix_ball, gram_matrix_quaternion, grid_powers,
+                                radial_moment, sphere_gram)
+from monokit.report import build_report
+from reference_routes import (block_table_loop, eval_bins_slot_loop, eval_grid, eval_terms,
+                              fourier_synthesize, inner_ball_h, inner_product_B, inner_product_S,
+                              inner_sphere_h, sc_inner_product_S, sphere_grid, sphere_pairs_full)
 
 
 def test_weight_total_is_sphere_area():
@@ -105,7 +106,7 @@ def test_gram_matrix_quaternion_matches_pairwise_reference():
 def test_gram_matrix_quaternion_is_its_block_of_the_sphere_gram_bit_for_bit():
     # the slice of the full reduction equals the reduction over the block alone
     for n in (1, 3, 6):
-        norms = sphere_norms(basis_for_degree(n))
+        norms = np.array([e.norm_S for e in basis_for_degree(n)])
         rule = QuadratureRule.for_degree(2 * n)
         samples = basis_samples(rule, n)[-len(norms):]
         pairs = np.einsum("itpa,jtpb,tp->ijab", samples, samples, rule.node_weights())
@@ -173,15 +174,13 @@ def test_eval_bins_of_the_blocks_equals_the_slot_loop_bit_for_bit():
 
 def test_eval_bins_of_term_lists_equals_the_slot_loop_bit_for_bit():
     # one list per element, all of them in one table, two dead components, no terms at all;
-    # at scattered points, at one point (0-d, and as arrays shaped like a tensor grid's or
-    # not) and along the x0 axis
-    rng = np.random.default_rng(29)
-    x0, x1, x2 = rng.uniform(-1.0, 1.0, size=(3, 300))
+    # on a rule grid, on the Bohr sum's 65 x 64 half grid and on a 1 x 1 grid
     lists = [e.poly.float_terms() for e in basis_elements(8)]
     lists.append([(exp, (0.0, a, 0.0, -a)) for exp, (a, *_) in lists[-1]])
     tables = [bin_table([terms]) for terms in lists] + [bin_table(lists), bin_table([[]])]
-    points = [(x0, np.hypot(x1, x2), np.arctan2(x2, x1)), (0.3, 0.4, 1.1),
-              ([0.3], [0.4], [1.1]), ([[0.3]], [[0.4]], [[1.1]]), (x0, 0.0, 0.0)]
+    x0, rho, phi = sphere_grid(65, 128)
+    points = [QuadratureRule.for_degree(16).grid(), (x0, rho, phi[:, :64]),
+              (np.array([[0.3]]), np.array([[0.4]]), np.array([[1.1]]))]
     for table, bins in tables:
         for at in points:
             powers = grid_powers(*at, max(map(max, bins), default=0))
@@ -192,10 +191,30 @@ def test_eval_bins_of_term_lists_equals_the_slot_loop_bit_for_bit():
 
 def test_sphere_gram_equals_the_full_reduction_bit_for_bit():
     # each block reduced against the elements from it on, the rest mirrored
-    for degree in (1, 4, 8):
+    for degree in (0, 1, 4, 8):
         pairs = sphere_pairs_full(QuadratureRule.for_degree(2 * degree), degree)
         want = np.einsum("ijab,abk->ijk", pairs, _CONJ_TABLE)
         assert sphere_gram(degree).tobytes() == want.tobytes()
+
+
+def test_every_package_call_of_the_kernel_gets_a_tensor_grid(monkeypatch):
+    # the report, a Fourier expansion and the Bohr sum: radial (bins, n, 1), cos (slots, 1, n_phi)
+    shapes, kernel = [], quadrature.eval_bins
+
+    def recording(table, factors, out=None):
+        cos_rows, sin_rows, radial = factors
+        shapes.append((table.shape, cos_rows.shape, sin_rows.shape, radial.shape))
+        return kernel(table, factors, out)
+
+    monkeypatch.setattr(quadrature, "eval_bins", recording)
+    build_report(max_degree=2, bohr_functions=2)
+    fourier_expand(basis_for_degree(3)[2].poly, 3, QuadratureRule.for_degree(6))
+    empirical_bohr_sum(random_test_function(np.random.default_rng(7), 4), 0.3)
+    assert len(shapes) > 10
+    for (_, _, n_bins, n_slots), cos_shape, sin_shape, radial_shape in shapes:
+        n, n_phi = radial_shape[1], cos_shape[2]
+        assert radial_shape == (n_bins, n, 1) and cos_shape == (n_slots, 1, n_phi)
+        assert sin_shape == (n_bins, n_slots, 1, n_phi)
 
 
 def test_one_read_only_rule_per_degree():
